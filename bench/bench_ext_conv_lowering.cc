@@ -15,7 +15,6 @@
 
 #include "bench_util.hh"
 
-#include "accel/conv_lowering.hh"
 #include "accel/design_space.hh"
 #include "accel/functional.hh"
 #include "accel/program.hh"
@@ -82,17 +81,45 @@ main()
     for (const auto &kase : cases) {
         Rng rng(seed + 3);
         bnn::VariationalConv2d layer(kase.spec, rng, -2.0f);
+        // The layer on its own: a one-op program (its filter bank as
+        // a ConvLowered op, then Output staging).
+        QuantizedProgram program;
+        program.activationFormat = kase.config.activationFormat();
+        program.weightFormat = kase.config.weightFormat();
+        program.epsFormat = kase.config.epsFormat();
+        ProgramOp op;
+        op.kind = OpKind::ConvLowered;
+        op.conv = kase.spec;
+        op.inSize = kase.spec.inputSize();
+        op.outSize = kase.spec.outputSize();
+        op.bank = quantizeBank(
+            layer.muWeight().data().data(),
+            layer.rhoWeight().data().data(), layer.muBias().data(),
+            layer.rhoBias().data(), kase.spec.patchSize(),
+            kase.spec.outChannels, program.weightFormat);
+        program.ops.push_back(op);
+        ProgramOp out;
+        out.kind = OpKind::Output;
+        out.inSize = op.outSize;
+        out.outSize = op.outSize;
+        out.relu = false;
+        program.ops.push_back(out);
         auto gen = grng::makeGenerator("rlf", seed + 5);
-        ConvLayerRunner runner(layer, kase.config, gen.get());
+        Simulator sim(program, kase.config, gen.get());
 
         std::vector<float> x(kase.spec.inputSize());
         Rng data(seed + 7);
         for (auto &v : x)
             v = static_cast<float>(data.uniform(0, 1));
-        runner.runPass(x.data());
+        sim.runPass(x.data());
 
-        const std::uint64_t predicted = runner.cyclesPerConvPass();
-        const std::uint64_t measured = runner.stats().totalCycles;
+        // Analytic: positions x one bank pass.
+        const std::uint64_t predicted =
+            kase.spec.positions() *
+            predictPassCycles(
+                {kase.spec.patchSize(), kase.spec.outChannels},
+                kase.config);
+        const std::uint64_t measured = sim.stats().totalCycles;
 
         hw::NetworkHwConfig hw_cfg;
         hw_cfg.peSets = kase.config.peSets;

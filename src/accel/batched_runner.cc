@@ -68,7 +68,7 @@ BatchedRunner::BatchedRunner(const QuantizedProgram &program,
               program_.epsFormat),
       weightGen_(kernel_, generator)
 {
-    validateProgram(program_, config_);
+    requireValidProgram(program_, config_);
 
     // The narrowed SoA layout stores activations and weights as int32:
     // every admissible fixed-point format (<= 32 bits) fits, and the

@@ -1,6 +1,6 @@
 /**
  * @file
- * Accelerator configuration and network quantization.
+ * Accelerator configuration and the shared datapath arithmetic.
  *
  * AcceleratorConfig captures the paper's architectural parameters — T
  * PE-sets of S PEs with N inputs each (S = N by design, Section 5.4),
@@ -11,9 +11,9 @@
  *   - weights (mu, sigma, bias): Q(B, B-2) (weights live in [-2, 2))
  *   - eps: Q(8, 5) (the GRNGs produce 8-bit unit Gaussians)
  *
- * QuantizedNetwork is a trained BayesianMlp lowered onto those grids:
- * raw integer mu/sigma planes per layer, ready to be loaded into the
- * simulator's WPMems or run through the fast functional path.
+ * QuantizedLayer is one neuron bank lowered onto those grids (raw
+ * integer mu/sigma planes); accel/program.hh strings banks into the
+ * executable QuantizedProgram.
  */
 
 #ifndef VIBNN_ACCEL_CONFIG_HH
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "bnn/bayesian_mlp.hh"
 #include "fixed/fixed_point.hh"
 
 namespace vibnn::accel
@@ -53,12 +52,13 @@ struct AcceleratorConfig
     /**
      * Validate against the paper's constraint system (equations (15)):
      * word widths within MaxWS and the write-drain feasibility
-     * condition T <= ceil(min layer input / N). fatal() on violation.
+     * condition T <= ceil(min layer input / N). Returns the first
+     * violation, empty when the geometry is feasible.
      */
-    void validate(const std::vector<std::size_t> &layer_sizes) const;
+    std::string validate(const std::vector<std::size_t> &layer_sizes) const;
 };
 
-/** One quantized layer: raw integer parameter planes. */
+/** One quantized neuron bank: raw integer parameter planes. */
 struct QuantizedLayer
 {
     std::size_t inDim = 0;
@@ -70,25 +70,6 @@ struct QuantizedLayer
     std::vector<std::int32_t> sigmaBias;
 };
 
-/** A BNN lowered to fixed point. */
-struct QuantizedNetwork
-{
-    std::vector<QuantizedLayer> layers;
-    fixed::FixedPointFormat activationFormat{8, 4};
-    fixed::FixedPointFormat weightFormat{8, 6};
-    fixed::FixedPointFormat epsFormat{8, 5};
-
-    /** Input width. fatal() on an empty network. */
-    std::size_t inputDim() const;
-    /** Output width. fatal() on an empty network. */
-    std::size_t outputDim() const;
-    std::vector<std::size_t> layerSizes() const;
-};
-
-/** Lower a trained BNN onto the config's fixed-point grids. */
-QuantizedNetwork quantizeNetwork(const bnn::BayesianMlp &net,
-                                 const AcceleratorConfig &config);
-
 /**
  * The shared datapath arithmetic — used identically by the cycle
  * simulator and the fast functional path so the two are bit-exact by
@@ -99,12 +80,6 @@ struct DatapathKernel
     fixed::FixedPointFormat activation;
     fixed::FixedPointFormat weight;
     fixed::FixedPointFormat eps;
-
-    explicit DatapathKernel(const QuantizedNetwork &net)
-        : activation(net.activationFormat), weight(net.weightFormat),
-          eps(net.epsFormat)
-    {
-    }
 
     DatapathKernel(const fixed::FixedPointFormat &activation_format,
                    const fixed::FixedPointFormat &weight_format,

@@ -28,14 +28,7 @@ FunctionalRunner::FunctionalRunner(const QuantizedProgram &program,
               program_.epsFormat),
       weightGen_(kernel_, generator)
 {
-    validateProgram(program_, config_);
-}
-
-FunctionalRunner::FunctionalRunner(const QuantizedNetwork &network,
-                                   const AcceleratorConfig &config,
-                                   grng::GaussianGenerator *generator)
-    : FunctionalRunner(programFromNetwork(network), config, generator)
-{
+    requireValidProgram(program_, config_);
 }
 
 void

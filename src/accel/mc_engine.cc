@@ -18,7 +18,7 @@ McEngine::McEngine(const QuantizedProgram &program,
                    const McEngineConfig &mc)
     : program_(program), config_(config), mc_(mc)
 {
-    validateProgram(program_, config_);
+    requireValidProgram(program_, config_);
     VIBNN_ASSERT(config_.mcSamples >= 1, "need at least one MC sample");
 
     if (mc_.threads == 0) {
@@ -28,13 +28,6 @@ McEngine::McEngine(const QuantizedProgram &program,
         if (mc_.threads > 1)
             ownPool_ = std::make_unique<ThreadPool>(mc_.threads - 1);
     }
-}
-
-McEngine::McEngine(const QuantizedNetwork &network,
-                   const AcceleratorConfig &config,
-                   const McEngineConfig &mc)
-    : McEngine(programFromNetwork(network), config, mc)
-{
 }
 
 McEngine::~McEngine() = default;
@@ -78,36 +71,37 @@ McEngine::ensureReplicas(std::size_t n)
     }
 }
 
-std::vector<std::int64_t>
-McEngine::runUnit(Replica &replica, const float *x, std::uint64_t image,
-                  std::uint64_t sample)
+template <typename Body>
+void
+McEngine::withStream(Replica &replica, std::uint64_t seed, Body &&body)
 {
-    const std::uint64_t seed = streamSeed(mc_.seedBase, image, sample);
     // Counter-based generators rekey in place (two register writes):
-    // the per-unit stream switch then skips the heap construction. The
+    // the stream switch then skips the heap construction. The
     // setGenerator call still runs to reset the executor's eps ring.
     if (replica.idleGenerator->reseed(seed)) {
         replica.executor->setGenerator(replica.idleGenerator.get());
-        return replica.executor->runPass(x);
+        body();
+        return;
     }
     auto generator = grng::makeGenerator(mc_.generatorId, seed);
     replica.executor->setGenerator(generator.get());
-    auto raw = replica.executor->runPass(x);
+    body();
     // Leave the replica pointing at its own long-lived stream before
     // the unit's generator goes out of scope.
     replica.executor->setGenerator(replica.idleGenerator.get());
-    return raw;
 }
 
-std::vector<std::vector<std::int64_t>>
-McEngine::runUnits(const float *xs, std::size_t count, std::size_t stride)
+void
+McEngine::runUnits(const float *xs, std::size_t count, std::size_t stride,
+                   std::vector<std::int64_t> &raw)
 {
     const std::size_t samples =
         static_cast<std::size_t>(config_.mcSamples);
+    const std::size_t out_dim = program_.outputDim();
     const std::size_t units = count * samples;
-    std::vector<std::vector<std::int64_t>> raw(units);
+    raw.resize(units * out_dim);
     if (units == 0)
-        return raw;
+        return;
 
     const std::size_t replica_count =
         std::max<std::size_t>(1, std::min(executors_, units));
@@ -125,8 +119,13 @@ McEngine::runUnits(const float *xs, std::size_t count, std::size_t stride)
         for (std::size_t u = r; u < units; u += replica_count) {
             const std::size_t image = u / samples;
             const std::size_t sample = u % samples;
-            raw[u] =
-                runUnit(replica, xs + image * stride, image, sample);
+            withStream(replica, streamSeed(mc_.seedBase, image, sample),
+                       [&] {
+                           const auto pass = replica.executor->runPass(
+                               xs + image * stride);
+                           std::copy(pass.begin(), pass.end(),
+                                     raw.data() + u * out_dim);
+                       });
         }
     };
 
@@ -137,19 +136,19 @@ McEngine::runUnits(const float *xs, std::size_t count, std::size_t stride)
     else
         for (std::size_t r = 0; r < replica_count; ++r)
             run_replica(r);
-    return raw;
 }
 
-std::vector<std::vector<std::int64_t>>
-McEngine::runRoundsBatch(const float *xs, std::size_t count,
-                         std::size_t stride)
+void
+McEngine::runRoundRange(const float *xs, std::size_t stride,
+                        const std::uint32_t *indices, std::size_t count,
+                        int r_begin, int r_end,
+                        std::vector<std::int64_t> &raw)
 {
-    const std::size_t rounds =
-        static_cast<std::size_t>(config_.mcSamples);
     const std::size_t out_dim = program_.outputDim();
-    std::vector<std::vector<std::int64_t>> raw(rounds);
-    if (count == 0)
-        return raw;
+    const std::size_t rounds = static_cast<std::size_t>(r_end - r_begin);
+    raw.resize(rounds * count * out_dim);
+    if (rounds == 0 || count == 0)
+        return;
 
     const std::size_t replica_count =
         std::max<std::size_t>(1, std::min(executors_, rounds));
@@ -158,10 +157,10 @@ McEngine::runRoundsBatch(const float *xs, std::size_t count,
     // Oversubscription guard: when round-level scheduling fans the
     // rounds over the pool (replica_count > 1), backends must not
     // also fan the image dimension over the same workers. With a
-    // single replica the rounds run serially, so the pool is free —
-    // hand it to the backend for intra-pass (image-dim) parallelism;
-    // weights are frozen per round, so results stay bit-identical
-    // either way.
+    // single replica (one round, or a tail chunk shrunk to one) the
+    // rounds run serially, so the pool is free — hand it to the
+    // backend for intra-pass (image-dim) parallelism; weights are
+    // frozen per round, so results stay bit-identical either way.
     ThreadPool *pool =
         mc_.threads == 0 ? &ThreadPool::global() : ownPool_.get();
     const bool round_level = pool != nullptr && replica_count > 1;
@@ -170,29 +169,27 @@ McEngine::runRoundsBatch(const float *xs, std::size_t count,
 
     // Static round assignment, mirroring runUnits: replica r owns
     // rounds r, r+R, r+2R, ... A round's output depends only on its
-    // seeded stream and the batch, so the partition is a performance
+    // seeded stream and its images, so the partition is a performance
     // choice, not a semantic one.
     auto run_replica = [&](std::size_t r) {
         Replica &replica = replicas_[r];
         for (std::size_t u = r; u < rounds; u += replica_count) {
-            const std::uint64_t seed = roundSeed(mc_.seedBase, u);
-            raw[u].resize(count * out_dim);
-            // Counter-based generators rekey in place — the per-round
-            // stream switch costs two register writes instead of a
-            // heap construction per round.
-            if (replica.idleGenerator->reseed(seed)) {
-                replica.executor->setGenerator(
-                    replica.idleGenerator.get());
-                replica.executor->runRoundBatch(xs, count, stride,
-                                                raw[u].data());
-                continue;
-            }
-            auto generator = grng::makeGenerator(mc_.generatorId, seed);
-            replica.executor->setGenerator(generator.get());
-            replica.executor->runRoundBatch(xs, count, stride,
-                                            raw[u].data());
-            replica.executor->setGenerator(
-                replica.idleGenerator.get());
+            // Seed by the GLOBAL round index: the stream of round
+            // r_begin + u is the one the fixed-T run uses for that same
+            // round, so surviving images' samples are bit-identical to
+            // it regardless of chunking or who else is still active.
+            const std::uint64_t seed =
+                roundSeed(mc_.seedBase,
+                          static_cast<std::uint64_t>(r_begin) + u);
+            std::int64_t *out = raw.data() + u * count * out_dim;
+            withStream(replica, seed, [&] {
+                if (indices)
+                    replica.executor->runRoundBatchGather(
+                        xs, stride, indices, count, out);
+                else
+                    replica.executor->runRoundBatch(xs, count, stride,
+                                                    out);
+            });
         }
     };
 
@@ -201,32 +198,21 @@ McEngine::runRoundsBatch(const float *xs, std::size_t count,
     else
         for (std::size_t r = 0; r < replica_count; ++r)
             run_replica(r);
-    return raw;
 }
 
-namespace
-{
-
-/**
- * The one softmax-average ensemble reduction (equation (6)): sample
- * s's raw outputs come from raw_of(s). Serial, in sample order — the
- * same fixed accumulation sequence Executor::classify performs,
- * regardless of thread count. A non-null sample_probs captures each
- * sample's softmax distribution as a side channel; the mean is
- * accumulated identically either way.
- */
-template <typename RawOf>
 void
-reduceEnsemble(std::size_t samples, std::size_t out_dim,
-               const fixed::FixedPointFormat &act, RawOf raw_of,
-               float *probs, float *sample_probs)
+McEngine::reduceProbs(const std::int64_t *raw, std::size_t sample_stride,
+                      std::size_t samples, float *probs,
+                      float *sample_probs) const
 {
+    const std::size_t out_dim = program_.outputDim();
+    const auto &act = program_.activationFormat;
     std::vector<float> logits(out_dim);
     std::fill(probs, probs + out_dim, 0.0f);
     for (std::size_t s = 0; s < samples; ++s) {
-        const std::int64_t *raw = raw_of(s);
+        const std::int64_t *row = raw + s * sample_stride;
         for (std::size_t i = 0; i < out_dim; ++i)
-            logits[i] = static_cast<float>(act.toReal(raw[i]));
+            logits[i] = static_cast<float>(act.toReal(row[i]));
         nn::softmax(logits.data(), out_dim);
         if (sample_probs)
             std::copy(logits.begin(), logits.end(),
@@ -237,32 +223,6 @@ reduceEnsemble(std::size_t samples, std::size_t out_dim,
     const float inv = 1.0f / static_cast<float>(samples);
     for (std::size_t i = 0; i < out_dim; ++i)
         probs[i] *= inv;
-}
-
-} // namespace
-
-void
-McEngine::reduceProbs(const std::vector<std::int64_t> *raw_samples,
-                      std::size_t samples, float *probs,
-                      float *sample_probs) const
-{
-    reduceEnsemble(samples, program_.outputDim(),
-                   program_.activationFormat,
-                   [&](std::size_t s) { return raw_samples[s].data(); },
-                   probs, sample_probs);
-}
-
-void
-McEngine::reduceRoundProbs(
-    const std::vector<std::vector<std::int64_t>> &rounds,
-    std::size_t image, float *probs, float *sample_probs) const
-{
-    const std::size_t out_dim = program_.outputDim();
-    reduceEnsemble(rounds.size(), out_dim, program_.activationFormat,
-                   [&](std::size_t s) {
-                       return rounds[s].data() + image * out_dim;
-                   },
-                   probs, sample_probs);
 }
 
 std::vector<std::size_t>
@@ -277,28 +237,30 @@ McEngine::classifyBatchImpl(const float *xs, std::size_t count,
     if (count == 0)
         return predictions;
 
-    std::vector<float> acc(out_dim);
-    const auto image_samples = [&](std::size_t image) {
-        return sample_probs ? sample_probs + image * samples * out_dim
-                            : nullptr;
-    };
+    // Both fan-outs fill one flat buffer; only the strides differ.
+    // PerRound is round-major (rounds x count x outDim), PerUnit is
+    // image-major (count x samples x outDim).
+    std::vector<std::int64_t> raw;
+    std::size_t image_step = 0;
+    std::size_t sample_step = 0;
     if (mc_.schedule == McSchedule::PerRound) {
-        const auto rounds = runRoundsBatch(xs, count, stride);
-        for (std::size_t image = 0; image < count; ++image) {
-            reduceRoundProbs(rounds, image, acc.data(),
-                             image_samples(image));
-            if (probs)
-                std::copy(acc.begin(), acc.end(),
-                          probs + image * out_dim);
-            predictions[image] = nn::argmax(acc.data(), acc.size());
-        }
-        return predictions;
+        runRoundRange(xs, stride, /*indices=*/nullptr, count, 0,
+                      config_.mcSamples, raw);
+        image_step = out_dim;
+        sample_step = count * out_dim;
+    } else {
+        runUnits(xs, count, stride, raw);
+        image_step = samples * out_dim;
+        sample_step = out_dim;
     }
 
-    const auto raw = runUnits(xs, count, stride);
+    std::vector<float> acc(out_dim);
     for (std::size_t image = 0; image < count; ++image) {
-        reduceProbs(raw.data() + image * samples, samples, acc.data(),
-                    image_samples(image));
+        reduceProbs(raw.data() + image * image_step, sample_step,
+                    samples, acc.data(),
+                    sample_probs
+                        ? sample_probs + image * samples * out_dim
+                        : nullptr);
         if (probs)
             std::copy(acc.begin(), acc.end(), probs + image * out_dim);
         predictions[image] = nn::argmax(acc.data(), acc.size());
@@ -329,66 +291,6 @@ McEngine::classifyBatchDetailed(const float *xs, std::size_t count,
         xs, count, stride, result.probs.data(),
         keep_sample_probs ? result.sampleProbs.data() : nullptr);
     return result;
-}
-
-void
-McEngine::runRoundRange(const float *xs, std::size_t stride,
-                        const std::uint32_t *indices, std::size_t count,
-                        int r_begin, int r_end,
-                        std::vector<std::int64_t> &raw)
-{
-    const std::size_t out_dim = program_.outputDim();
-    const std::size_t rounds = static_cast<std::size_t>(r_end - r_begin);
-    raw.resize(rounds * count * out_dim);
-    if (rounds == 0 || count == 0)
-        return;
-
-    const std::size_t replica_count =
-        std::max<std::size_t>(1, std::min(executors_, rounds));
-    ensureReplicas(replica_count);
-
-    // Same oversubscription policy as runRoundsBatch: round-level
-    // fan-out owns the pool when several rounds run at once; a lone
-    // replica (tail chunks shrink to one round) hands the pool down
-    // for image-dimension parallelism instead.
-    ThreadPool *pool =
-        mc_.threads == 0 ? &ThreadPool::global() : ownPool_.get();
-    const bool round_level = pool != nullptr && replica_count > 1;
-    for (auto &replica : replicas_)
-        replica.executor->setWorkPool(round_level ? nullptr : pool);
-
-    auto run_replica = [&](std::size_t r) {
-        Replica &replica = replicas_[r];
-        for (std::size_t u = r; u < rounds; u += replica_count) {
-            // Seed by the GLOBAL round index: the stream of round
-            // r_begin + u is the one the fixed-T run uses for that same
-            // round, so surviving images' samples are bit-identical to
-            // it regardless of chunking or who else is still active.
-            const std::uint64_t seed =
-                roundSeed(mc_.seedBase,
-                          static_cast<std::uint64_t>(r_begin) + u);
-            std::int64_t *out = raw.data() + u * count * out_dim;
-            if (replica.idleGenerator->reseed(seed)) {
-                replica.executor->setGenerator(
-                    replica.idleGenerator.get());
-                replica.executor->runRoundBatchGather(xs, stride,
-                                                      indices, count,
-                                                      out);
-                continue;
-            }
-            auto generator = grng::makeGenerator(mc_.generatorId, seed);
-            replica.executor->setGenerator(generator.get());
-            replica.executor->runRoundBatchGather(xs, stride, indices,
-                                                  count, out);
-            replica.executor->setGenerator(replica.idleGenerator.get());
-        }
-    };
-
-    if (round_level)
-        pool->parallelFor(replica_count, run_replica);
-    else
-        for (std::size_t r = 0; r < replica_count; ++r)
-            run_replica(r);
 }
 
 McAdaptiveBatchResult
@@ -542,17 +444,27 @@ McEngine::classify(const float *x, float *probs)
 McResult
 McEngine::classifyDetailed(const float *x)
 {
-    McResult result;
     // For a one-image batch a PerRound round IS one per-sample pass,
-    // so both schedules fill rawSamples with mcSamples raw outputs.
-    result.rawSamples = mc_.schedule == McSchedule::PerRound
-                            ? runRoundsBatch(x, 1, program_.inputDim())
-                            : runUnits(x, 1, program_.inputDim());
-    result.probs.assign(program_.outputDim(), 0.0f);
-    reduceProbs(result.rawSamples.data(), result.rawSamples.size(),
-                result.probs.data());
+    // and both fan-outs lay the mcSamples raw outputs out row by row.
+    const std::size_t out_dim = program_.outputDim();
+    const std::size_t samples =
+        static_cast<std::size_t>(config_.mcSamples);
+    std::vector<std::int64_t> raw;
+    if (mc_.schedule == McSchedule::PerRound)
+        runRoundRange(x, program_.inputDim(), /*indices=*/nullptr, 1, 0,
+                      config_.mcSamples, raw);
+    else
+        runUnits(x, 1, program_.inputDim(), raw);
+
+    McResult result;
+    result.probs.assign(out_dim, 0.0f);
+    reduceProbs(raw.data(), out_dim, samples, result.probs.data());
     result.predicted = nn::argmax(result.probs.data(),
                                   result.probs.size());
+    result.rawSamples.resize(samples);
+    for (std::size_t s = 0; s < samples; ++s)
+        result.rawSamples[s].assign(raw.begin() + s * out_dim,
+                                    raw.begin() + (s + 1) * out_dim);
     return result;
 }
 

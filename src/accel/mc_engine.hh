@@ -175,11 +175,6 @@ class McEngine
              const AcceleratorConfig &config,
              const McEngineConfig &mc = McEngineConfig{});
 
-    /** Legacy front-end: lift a flat QuantizedNetwork into a program
-     *  (one Dense op per layer). */
-    McEngine(const QuantizedNetwork &network,
-             const AcceleratorConfig &config,
-             const McEngineConfig &mc = McEngineConfig{});
     ~McEngine();
 
     McEngine(const McEngine &) = delete;
@@ -284,60 +279,51 @@ class McEngine
     /** Ensure replicas [0, n) exist. */
     void ensureReplicas(std::size_t n);
 
-    /** Run one (image, sample) unit on a replica; returns raw pass
-     *  outputs. */
-    std::vector<std::int64_t> runUnit(Replica &replica, const float *x,
-                                      std::uint64_t image,
-                                      std::uint64_t sample);
+    /**
+     * Point the replica at the eps stream seeded `seed` (rekeying its
+     * idle generator in place when the generator supports it, else
+     * constructing one), run `body`, and leave the replica on its idle
+     * stream again.
+     */
+    template <typename Body>
+    void withStream(Replica &replica, std::uint64_t seed, Body &&body);
 
     /**
      * The PerUnit parallel fan-out: run every (image, sample) unit of
-     * the batch, returning count * mcSamples raw pass outputs indexed
-     * by unit. Partitioning is replica-static; results depend only on
-     * the unit, so the schedule is invisible in the output.
+     * the batch into `raw`, resized to count x mcSamples x outputDim
+     * (image-major). Unit (i, s) runs on the stream seeded
+     * streamSeed(seedBase, i, s); partitioning is replica-static and
+     * results depend only on the unit, so the schedule is invisible in
+     * the output.
      */
-    std::vector<std::vector<std::int64_t>> runUnits(const float *xs,
-                                                    std::size_t count,
-                                                    std::size_t stride);
+    void runUnits(const float *xs, std::size_t count, std::size_t stride,
+                  std::vector<std::int64_t> &raw);
 
     /**
-     * The PerRound parallel fan-out: run every MC round over the whole
-     * batch, returning mcSamples buffers of count * outputDim raw
-     * values. Round r runs with the stream seeded by
-     * roundSeed(seedBase, r), so the partition is invisible in the
-     * output exactly like runUnits.
-     */
-    std::vector<std::vector<std::int64_t>> runRoundsBatch(
-        const float *xs, std::size_t count, std::size_t stride);
-
-    /**
-     * Run global MC rounds [r_begin, r_end) over the active subset
-     * `indices[0..count)` of the batch (gather rounds), fanned over
-     * replicas like runRoundsBatch. `raw` is resized to
+     * The PerRound parallel fan-out: run global MC rounds
+     * [r_begin, r_end) over `count` images, fanned over replicas.
+     * Null `indices` means the whole batch (rows 0..count of xs, via
+     * runRoundBatch); otherwise the active subset indices[0..count)
+     * (gather rounds). `raw` is resized to
      * (r_end - r_begin) x count x outputDim, round-major. Round r is
      * seeded roundSeed(seedBase, r) — the GLOBAL index — so the stream
-     * any surviving image sees is independent of chunking and of which
-     * images remain.
+     * any image sees is independent of chunking, of the partition, and
+     * of which other images remain.
      */
     void runRoundRange(const float *xs, std::size_t stride,
                        const std::uint32_t *indices, std::size_t count,
                        int r_begin, int r_end,
                        std::vector<std::int64_t> &raw);
 
-    /** Softmax-average `samples` raw pass outputs (in sample order)
-     *  into `probs` — the same reduction Executor::classify runs. A
-     *  non-null `sample_probs` also receives the samples x outputDim
-     *  per-sample distributions (without changing the mean). */
-    void reduceProbs(const std::vector<std::int64_t> *raw_samples,
+    /** Softmax-average `samples` raw pass outputs — sample s at
+     *  raw + s * sample_stride — into `probs`, serially in sample
+     *  order: the same fixed accumulation sequence Executor::classify
+     *  performs, regardless of thread count. A non-null `sample_probs`
+     *  also receives the samples x outputDim per-sample distributions
+     *  (without changing the mean). */
+    void reduceProbs(const std::int64_t *raw, std::size_t sample_stride,
                      std::size_t samples, float *probs,
                      float *sample_probs = nullptr) const;
-
-    /** The same reduction over PerRound buffers: sample s of `image`
-     *  lives at rounds[s][image * outputDim ...]. */
-    void reduceRoundProbs(
-        const std::vector<std::vector<std::int64_t>> &rounds,
-        std::size_t image, float *probs,
-        float *sample_probs = nullptr) const;
 
     /** Shared body of classifyBatch / classifyBatchDetailed; either
      *  output pointer may be null. */

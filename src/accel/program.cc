@@ -7,6 +7,7 @@
 #include "accel/program.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "bnn/bayesian_cnn.hh"
 #include "bnn/bayesian_mlp.hh"
@@ -63,72 +64,91 @@ QuantizedProgram::bankInputSizes() const
     return sizes;
 }
 
-void
+std::string
 validateProgram(const QuantizedProgram &program,
                 const AcceleratorConfig &config)
 {
     if (program.ops.empty())
-        fatal("validateProgram: program has no ops");
+        return "validateProgram: program has no ops";
 
     std::size_t flowing = program.ops.front().inSize;
     bool seen_compute = false;
     for (std::size_t i = 0; i < program.ops.size(); ++i) {
         const auto &op = program.ops[i];
+        const auto &bank = op.bank;
         if (op.inSize != flowing) {
-            fatal(strfmt("program op %zu (%s): inSize %zu does not chain "
-                         "with previous outSize %zu",
-                         i, opKindName(op.kind), op.inSize, flowing));
+            return strfmt("program op %zu (%s): inSize %zu does not "
+                          "chain with previous outSize %zu",
+                          i, opKindName(op.kind), op.inSize, flowing);
         }
         switch (op.kind) {
           case OpKind::Dense:
-            if (op.bank.inDim != op.inSize ||
-                op.bank.outDim != op.outSize) {
-                fatal(strfmt("program op %zu (dense): bank %zux%zu does "
-                             "not match op sizes %zu->%zu",
-                             i, op.bank.outDim, op.bank.inDim, op.inSize,
-                             op.outSize));
+            if (bank.inDim != op.inSize || bank.outDim != op.outSize) {
+                return strfmt("program op %zu (dense): bank %zux%zu "
+                              "does not match op sizes %zu->%zu",
+                              i, bank.outDim, bank.inDim, op.inSize,
+                              op.outSize);
             }
-            seen_compute = true;
             break;
           case OpKind::ConvLowered:
             if (!op.conv.valid())
-                fatal(strfmt("program op %zu (conv): invalid geometry",
-                             i));
+                return strfmt("program op %zu (conv): invalid geometry",
+                              i);
             if (op.inSize != op.conv.inputSize() ||
                 op.outSize != op.conv.outputSize() ||
-                op.bank.inDim != op.conv.patchSize() ||
-                op.bank.outDim != op.conv.outChannels) {
-                fatal(strfmt("program op %zu (conv): bank/geometry "
-                             "mismatch",
-                             i));
+                bank.inDim != op.conv.patchSize() ||
+                bank.outDim != op.conv.outChannels) {
+                return strfmt("program op %zu (conv): bank/geometry "
+                              "mismatch",
+                              i);
             }
-            seen_compute = true;
             break;
           case OpKind::Pool:
             if (!op.pool.valid())
-                fatal(strfmt("program op %zu (pool): invalid geometry",
-                             i));
+                return strfmt("program op %zu (pool): invalid geometry",
+                              i);
             if (op.inSize != op.pool.inputSize() ||
                 op.outSize != op.pool.outputSize()) {
-                fatal(strfmt("program op %zu (pool): geometry does not "
-                             "match op sizes",
-                             i));
+                return strfmt("program op %zu (pool): geometry does not "
+                              "match op sizes",
+                              i);
             }
             break;
           case OpKind::Flatten:
           case OpKind::Output:
             if (op.outSize != op.inSize)
-                fatal(strfmt("program op %zu (%s): must be identity-"
-                             "sized",
-                             i, opKindName(op.kind)));
+                return strfmt("program op %zu (%s): must be identity-"
+                              "sized",
+                              i, opKindName(op.kind));
             break;
         }
+        // The executors index the planes by the bank shape, so a short
+        // plane would be read out of bounds; staging ops carry none.
+        if (bank.inDim != 0 &&
+            bank.outDim > std::numeric_limits<std::size_t>::max() /
+                              bank.inDim)
+            return strfmt("program op %zu (%s): bank shape overflows",
+                          i, opKindName(op.kind));
+        const std::size_t weights =
+            op.isCompute() ? bank.inDim * bank.outDim : 0;
+        const std::size_t biases = op.isCompute() ? bank.outDim : 0;
+        if (bank.muWeight.size() != weights ||
+            bank.sigmaWeight.size() != weights ||
+            bank.muBias.size() != biases ||
+            bank.sigmaBias.size() != biases) {
+            return strfmt("program op %zu (%s): parameter planes do not "
+                          "match the bank shape (%zu weights, %zu "
+                          "biases expected)",
+                          i, opKindName(op.kind), weights, biases);
+        }
+        seen_compute = seen_compute || op.isCompute();
         flowing = op.outSize;
     }
     if (!seen_compute)
-        fatal("validateProgram: program has no compute ops");
+        return "validateProgram: program has no compute ops";
     if (program.ops.back().kind != OpKind::Output)
-        fatal("validateProgram: program must end in an Output staging op");
+        return "validateProgram: program must end in an Output staging "
+               "op";
 
     // Equation-(15) constraint system, applied once over the whole
     // program: the write-drain condition ranges over every compute
@@ -136,7 +156,16 @@ validateProgram(const QuantizedProgram &program,
     // all entries but the last, so append the output width).
     std::vector<std::size_t> sizes = program.bankInputSizes();
     sizes.push_back(program.outputDim());
-    config.validate(sizes);
+    return config.validate(sizes);
+}
+
+void
+requireValidProgram(const QuantizedProgram &program,
+                    const AcceleratorConfig &config)
+{
+    const std::string reason = validateProgram(program, config);
+    if (!reason.empty())
+        fatal(reason);
 }
 
 QuantizedLayer
@@ -230,7 +259,7 @@ compile(const bnn::BayesianMlp &net, const AcceleratorConfig &config)
     if (!program.ops.empty())
         program.ops.push_back(makeOutputOp(program.ops.back().outSize));
 
-    validateProgram(program, config);
+    requireValidProgram(program, config);
     return program;
 }
 
@@ -303,31 +332,7 @@ compile(const bnn::BayesianConvNet &net, const AcceleratorConfig &config)
     }
     program.ops.push_back(makeOutputOp(net.outputDim()));
 
-    validateProgram(program, config);
-    return program;
-}
-
-QuantizedProgram
-programFromNetwork(const QuantizedNetwork &network)
-{
-    QuantizedProgram program;
-    program.activationFormat = network.activationFormat;
-    program.weightFormat = network.weightFormat;
-    program.epsFormat = network.epsFormat;
-
-    for (std::size_t i = 0; i < network.layers.size(); ++i) {
-        const auto &layer = network.layers[i];
-        ProgramOp op;
-        op.kind = OpKind::Dense;
-        op.inSize = layer.inDim;
-        op.outSize = layer.outDim;
-        op.relu = i + 1 < network.layers.size();
-        op.bank = layer;
-        op.label = strfmt("dense%zu %zu->%zu", i, op.inSize, op.outSize);
-        program.ops.push_back(std::move(op));
-    }
-    if (!program.ops.empty())
-        program.ops.push_back(makeOutputOp(program.ops.back().outSize));
+    requireValidProgram(program, config);
     return program;
 }
 

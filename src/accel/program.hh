@@ -46,6 +46,7 @@
 namespace vibnn::bnn
 {
 class BayesianConvNet;
+class BayesianMlp;
 }
 
 namespace vibnn::accel
@@ -119,17 +120,24 @@ struct QuantizedProgram
 
 /**
  * Structural + architectural validation, run once per program: op
- * chaining, bank shapes, and the paper's equation-(15) constraint
- * system (WPMem word width, IFMem write-drain feasibility) for the
- * given accelerator geometry. fatal() on violation.
+ * chaining, bank shapes and plane sizes, and the paper's equation-(15)
+ * constraint system (WPMem word width, IFMem write-drain feasibility)
+ * for the given accelerator geometry. Returns the first violation,
+ * empty when the program is valid — so a program loaded from disk can
+ * be rejected with a reason; the in-process constructors fatal() on a
+ * non-empty result.
  */
-void validateProgram(const QuantizedProgram &program,
-                     const AcceleratorConfig &config);
+std::string validateProgram(const QuantizedProgram &program,
+                            const AcceleratorConfig &config);
+
+/** fatal() with validateProgram's reason unless the program is
+ *  valid — the executors' and session builder's fail-fast guard. */
+void requireValidProgram(const QuantizedProgram &program,
+                         const AcceleratorConfig &config);
 
 /**
  * Quantize one variational neuron bank onto the program's grids —
- * the shared lowering core behind every compiler front-end (absorbs
- * what quantizeNetwork and quantizeConvLayer used to duplicate).
+ * the shared lowering core behind every compiler front-end.
  * Weight planes are row-major outDim x inDim of (mu, rho); sigma =
  * softplus(rho) is quantized on the weight grid.
  */
@@ -146,11 +154,6 @@ QuantizedProgram compile(const bnn::BayesianMlp &net,
  *  (ConvLowered [Pool])* Flatten Dense* Output. */
 QuantizedProgram compile(const bnn::BayesianConvNet &net,
                          const AcceleratorConfig &config);
-
-/** Lift a legacy flat QuantizedNetwork into a program (one Dense op
- *  per layer plus Output staging). Not validated here — the executors
- *  validate against their config, as they always did. */
-QuantizedProgram programFromNetwork(const QuantizedNetwork &network);
 
 } // namespace vibnn::accel
 

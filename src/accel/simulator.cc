@@ -16,7 +16,7 @@ Simulator::Simulator(const QuantizedProgram &program,
               program_.epsFormat),
       weightGen_(kernel_, generator)
 {
-    validateProgram(program_, config_);
+    requireValidProgram(program_, config_);
 
     const int n = config_.peInputs();
     for (int p = 0; p < config_.totalPes(); ++p)
@@ -40,13 +40,6 @@ Simulator::Simulator(const QuantizedProgram &program,
     weights_.resize(static_cast<std::size_t>(config_.pesPerSet) * n);
 
     packWpmems();
-}
-
-Simulator::Simulator(const QuantizedNetwork &network,
-                     const AcceleratorConfig &config,
-                     grng::GaussianGenerator *generator)
-    : Simulator(programFromNetwork(network), config, generator)
-{
 }
 
 void

@@ -25,6 +25,9 @@ constexpr std::uint32_t kVersion = 1;
 enum class Kind : std::uint32_t
 {
     BayesianMlp = 1,
+    // Tag 2 held the retired flat quantized-network image. It stays
+    // reserved so the other kinds keep their on-disk values and an old
+    // image is refused as a kind mismatch instead of misparsed.
     QuantizedNetwork = 2,
     BayesianConvNet = 3,
     QuantizedProgram = 4,
@@ -489,92 +492,14 @@ loadBayesianConvNet(const std::string &path)
 }
 
 bool
-saveQuantizedNetwork(const accel::QuantizedNetwork &net,
-                     const std::string &path)
-{
-    return saveWithHeader(path, Kind::QuantizedNetwork, [&](Writer &w) {
-        w.u32(static_cast<std::uint32_t>(
-            net.activationFormat.totalBits()));
-        w.u32(static_cast<std::uint32_t>(
-            net.activationFormat.fracBits()));
-        w.u32(static_cast<std::uint32_t>(net.weightFormat.totalBits()));
-        w.u32(static_cast<std::uint32_t>(net.weightFormat.fracBits()));
-        w.u32(static_cast<std::uint32_t>(net.epsFormat.totalBits()));
-        w.u32(static_cast<std::uint32_t>(net.epsFormat.fracBits()));
-        w.u64(net.layers.size());
-        for (const auto &layer : net.layers) {
-            w.u64(layer.inDim);
-            w.u64(layer.outDim);
-            w.ints(layer.muWeight);
-            w.ints(layer.sigmaWeight);
-            w.ints(layer.muBias);
-            w.ints(layer.sigmaBias);
-        }
-    });
-}
-
-std::unique_ptr<accel::QuantizedNetwork>
-loadQuantizedNetwork(const std::string &path)
-{
-    auto reader = openFile(path, Kind::QuantizedNetwork);
-    if (!reader)
-        return nullptr;
-
-    auto bad = [&](const char *what) {
-        warn("model_io: " + path + " has a bad " + what);
-        return nullptr;
-    };
-
-    std::uint32_t fmt[6];
-    for (auto &f : fmt) {
-        if (!reader->u32(f))
-            return bad("fixed-point format");
-    }
-    for (int i = 0; i < 6; i += 2) {
-        if (!validFormatPair(fmt[i], fmt[i + 1]))
-            return bad("fixed-point format");
-    }
-    auto net = std::make_unique<accel::QuantizedNetwork>();
-    net->activationFormat = fixed::FixedPointFormat(
-        static_cast<int>(fmt[0]), static_cast<int>(fmt[1]));
-    net->weightFormat = fixed::FixedPointFormat(static_cast<int>(fmt[2]),
-                                                static_cast<int>(fmt[3]));
-    net->epsFormat = fixed::FixedPointFormat(static_cast<int>(fmt[4]),
-                                             static_cast<int>(fmt[5]));
-
-    std::uint64_t count;
-    if (!reader->u64(count) || count == 0 || count > 64)
-        return bad("layer count");
-    net->layers.resize(count);
-    for (auto &layer : net->layers) {
-        std::uint64_t in, out;
-        if (!reader->u64(in) || !reader->u64(out) || in == 0 ||
-            out == 0 || in > kMaxElements || out > kMaxElements)
-            return bad("layer dims");
-        layer.inDim = static_cast<std::size_t>(in);
-        layer.outDim = static_cast<std::size_t>(out);
-        if (!reader->ints(layer.muWeight, kMaxElements) ||
-            !reader->ints(layer.sigmaWeight, kMaxElements) ||
-            !reader->ints(layer.muBias, kMaxElements) ||
-            !reader->ints(layer.sigmaBias, kMaxElements))
-            return bad("parameter plane");
-        if (layer.muWeight.size() != layer.inDim * layer.outDim ||
-            layer.sigmaWeight.size() != layer.inDim * layer.outDim ||
-            layer.muBias.size() != layer.outDim ||
-            layer.sigmaBias.size() != layer.outDim)
-            return bad("plane shape");
-    }
-    return net;
-}
-
-bool
 saveQuantizedProgram(const accel::QuantizedProgram &program,
                      const std::string &path)
 {
     // Refuse the size bounds the loader enforces, so well-formed
     // programs always round-trip byte-identically. (Structural
-    // validity — plane shapes, conv geometry — remains the loader's
-    // job, exactly as for freshly compiled programs.)
+    // validity — chaining, plane shapes, conv geometry — is
+    // accel::validateProgram's job, for loaded and freshly compiled
+    // programs alike.)
     if (program.ops.empty() || program.ops.size() > kMaxOps) {
         warn("model_io: refusing to save program with " +
              std::to_string(program.ops.size()) + " ops");
@@ -693,22 +618,6 @@ loadQuantizedProgram(const std::string &path)
             !reader->ints(op.bank.muBias, kMaxElements) ||
             !reader->ints(op.bank.sigmaBias, kMaxElements))
             return bad("parameter plane");
-        if (op.isCompute()) {
-            if (op.bank.muWeight.size() !=
-                    op.bank.inDim * op.bank.outDim ||
-                op.bank.sigmaWeight.size() !=
-                    op.bank.inDim * op.bank.outDim ||
-                op.bank.muBias.size() != op.bank.outDim ||
-                op.bank.sigmaBias.size() != op.bank.outDim)
-                return bad("plane shape");
-        } else if (!op.bank.muWeight.empty() ||
-                   !op.bank.sigmaWeight.empty() ||
-                   !op.bank.muBias.empty() ||
-                   !op.bank.sigmaBias.empty()) {
-            // Staging ops carry no parameters; reject smuggled planes.
-            return bad("plane shape");
-        }
-
         std::uint64_t geo[7];
         for (auto &g : geo) {
             if (!reader->u64(g) || g > kMaxElements)
@@ -721,8 +630,6 @@ loadQuantizedProgram(const std::string &path)
         op.conv.kernel = static_cast<std::size_t>(geo[4]);
         op.conv.stride = static_cast<std::size_t>(geo[5]);
         op.conv.pad = static_cast<std::size_t>(geo[6]);
-        if (op.kind == accel::OpKind::ConvLowered && !op.conv.valid())
-            return bad("conv geometry");
 
         std::uint64_t pg[5];
         for (auto &g : pg) {
@@ -734,8 +641,6 @@ loadQuantizedProgram(const std::string &path)
         op.pool.inWidth = static_cast<std::size_t>(pg[2]);
         op.pool.window = static_cast<std::size_t>(pg[3]);
         op.pool.stride = static_cast<std::size_t>(pg[4]);
-        if (op.kind == accel::OpKind::Pool && !op.pool.valid())
-            return bad("pool geometry");
     }
     return program;
 }

@@ -9,10 +9,10 @@
  *
  *  - a trained BayesianMlp / BayesianConvNet (float mu/rho, so training
  *    can resume and requantization at other bit-lengths is possible);
- *  - a QuantizedNetwork (the raw integer planes the accelerator loads —
- *    the actual deployment image);
  *  - a QuantizedProgram (the compiled op list any executor backend
- *    runs — caching one skips the compile step on later runs).
+ *    runs — the raw integer planes the accelerator loads, i.e. the
+ *    actual deployment image; caching one skips the compile step on
+ *    later runs).
  *
  * Format: little-endian binary; magic "VIBNNMDL", format version, a
  * kind tag, the payload, and an FNV-1a checksum trailer. Loaders return
@@ -49,23 +49,16 @@ bool saveBayesianConvNet(const bnn::BayesianConvNet &net,
 std::unique_ptr<bnn::BayesianConvNet>
 loadBayesianConvNet(const std::string &path);
 
-/** Save a quantized deployment image. @return false on IO failure. */
-bool saveQuantizedNetwork(const accel::QuantizedNetwork &net,
-                          const std::string &path);
-
-/** Load a quantized deployment image; nullptr on any failure. */
-std::unique_ptr<accel::QuantizedNetwork>
-loadQuantizedNetwork(const std::string &path);
-
 /** Save a compiled program (same tagged + FNV-1a checksum container),
  *  so compiled CNN programs can be cached across runs instead of
  *  recompiled. @return false on IO failure. */
 bool saveQuantizedProgram(const accel::QuantizedProgram &program,
                           const std::string &path);
 
-/** Load a compiled program; nullptr (after warn()) on any failure.
- *  Callers validate against their AcceleratorConfig exactly as the
- *  executors do for freshly compiled programs. */
+/** Load a compiled program; nullptr (after warn()) on any parse or
+ *  checksum failure. The loader checks the container only: callers run
+ *  accel::validateProgram against their AcceleratorConfig, which
+ *  returns why a well-formed file holds an unusable program. */
 std::unique_ptr<accel::QuantizedProgram>
 loadQuantizedProgram(const std::string &path);
 

@@ -5,6 +5,25 @@
 namespace vibnn::serve
 {
 
+std::string
+requestRuleViolation(std::size_t count, std::int64_t mc_samples,
+                     std::int64_t deadline_micros)
+{
+    if (count == 0)
+        return "request holds no images";
+    if (mc_samples < 0 || mc_samples > kMaxEnsembleSize)
+        return "request mcSamples must be in [0, " +
+            std::to_string(kMaxEnsembleSize) + "], got " +
+            std::to_string(mc_samples);
+    if (deadline_micros < 0 || deadline_micros > kMaxDeadlineMicros)
+        // An unbounded budget is an unbounded dispatcher-hold license
+        // (and overflows wait_for's duration math).
+        return "request deadlineMicros must be in [0, " +
+            std::to_string(kMaxDeadlineMicros) + "], got " +
+            std::to_string(deadline_micros);
+    return {};
+}
+
 std::int64_t
 holdAllowanceMicros(std::int64_t deadline_micros,
                     std::int64_t waited_micros,

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace vibnn::serve
 {
@@ -33,11 +34,28 @@ namespace vibnn::serve
  * dispatcher for an arbitrary time (starving every different-T
  * request) — and values near INT64_MAX overflow the duration math
  * inside condition_variable::wait_for. Enforced at every admission
- * edge: wire decode (net::decodeClassifyRequest), server admission
- * (Server::handleClassify), InferenceSession::validateRequest, the
- * session Builder, and the VIBNN_SERVE_DEADLINE_US env front door.
+ * edge through requestRuleViolation below (wire decode, server
+ * admission, InferenceSession::checkRequest), plus the session Builder
+ * and the VIBNN_SERVE_DEADLINE_US env front door.
  */
 constexpr std::int64_t kMaxDeadlineMicros = 600'000'000;
+
+/** Upper bound on any ensemble size (session or per-request) — T
+ *  drives count x T x outputDim allocations, so an absurd value must
+ *  fail with a message, not a bad_alloc. */
+constexpr int kMaxEnsembleSize = 65536;
+
+/**
+ * The program-independent request rules, written once for every
+ * admission edge: at least one image, mcSamples in
+ * [0, kMaxEnsembleSize] (0 = the session's T), deadlineMicros in
+ * [0, kMaxDeadlineMicros]. Returns the first violation, empty when all
+ * hold. InferenceSession::checkRequest adds the program-dependent rules
+ * on top; the wire decoder applies these before trusting a frame.
+ */
+std::string requestRuleViolation(std::size_t count,
+                                 std::int64_t mc_samples,
+                                 std::int64_t deadline_micros);
 
 /**
  * EWMA of recent engine pass durations — the coalescer's expectation

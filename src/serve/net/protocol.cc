@@ -346,24 +346,18 @@ decodeClassifyRequest(const std::uint8_t *payload, std::size_t len,
     out.dim = reader.u32();
     if (!reader.ok())
         return decodeFailed(error, "ClassifyRequest");
-    if (out.count == 0 || out.dim == 0) {
-        error = "ClassifyRequest with zero images or zero dim";
+    // The request rules (image count, ensemble size, deadline cap) come
+    // from the one shared definition; an unbounded deadline would be a
+    // remotely triggerable dispatcher park, so it never gets past here.
+    error = serve::requestRuleViolation(out.count, out.mcSamples,
+                                        out.deadlineMicros);
+    if (!error.empty())
         return false;
-    }
     if (out.count > kMaxImagesPerFrame || out.dim > kMaxImageDim) {
         error = "ClassifyRequest geometry exceeds protocol caps "
                 "(count " +
             std::to_string(out.count) + ", dim " +
             std::to_string(out.dim) + ")";
-        return false;
-    }
-    if (out.deadlineMicros < 0 ||
-        out.deadlineMicros > kMaxDeadlineMicros) {
-        // An unbounded deadline is an unbounded dispatcher-hold
-        // license (and overflows wait_for's duration math) — a
-        // remotely triggerable DoS, so the cap is a wire-level reject.
-        error = "ClassifyRequest deadline must be in [0, " +
-            std::to_string(kMaxDeadlineMicros) + "] us";
         return false;
     }
     // count * dim fits uint64 (caps are 2^16 and 2^20) but not

@@ -507,7 +507,23 @@ Server::handleClassify(Connection &conn,
                          "server is draining");
     }
 
+    InferenceRequest request;
+    request.count = wire.count;
+    request.dim = wire.dim;
+    request.storage = std::move(wire.features);
+    request.mcSamples = static_cast<int>(wire.mcSamples);
+    request.deadlineMicros = wire.deadlineMicros;
+
+    // The session's own request check, before any admission slot is
+    // taken: a broken request comes back as an error frame (never a
+    // server-side fatal()) and leaves the shard's counters alone.
     Shard &shard = pickShard();
+    const InferenceSession &session = *shard.session;
+    const std::string reason = session.checkRequest(request);
+    if (!reason.empty())
+        return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
+                         reason);
+
     if (wire.retryAttempt > 0)
         shard.retriesObserved.fetch_add(1);
     // Admission control: reserve a slot; over capacity => explicit
@@ -518,38 +534,6 @@ Server::handleClassify(Connection &conn,
         shard.rejects.fetch_add(1);
         return sendError(conn.sock, wire.id, net::ErrorCode::Overloaded,
                          "shard queue full");
-    }
-
-    InferenceRequest request = InferenceRequest::copy(
-        wire.features.data(), wire.count, wire.dim);
-    request.mcSamples = static_cast<int>(wire.mcSamples);
-    request.deadlineMicros = wire.deadlineMicros;
-
-    // Geometry mismatches must come back as error frames, not a
-    // server-side fatal(): pre-validate what validateRequest enforces.
-    const InferenceSession &session = *shard.session;
-    if (wire.count == 0 || wire.dim != session.inputDim()) {
-        shard.inflight.fetch_sub(1);
-        std::ostringstream msg;
-        msg << "bad request geometry: count=" << wire.count
-            << " dim=" << wire.dim << " (program input dim "
-            << session.inputDim() << ")";
-        return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
-                         msg.str());
-    }
-    if (wire.mcSamples > 65536) {
-        shard.inflight.fetch_sub(1);
-        return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
-                         "mcSamples too large");
-    }
-    if (wire.deadlineMicros < 0 ||
-        wire.deadlineMicros > net::kMaxDeadlineMicros) {
-        // The decoder already rejects out-of-range deadlines; this
-        // re-check keeps the admission invariant local — nothing
-        // beyond the cap ever reaches a dispatcher's hold loop.
-        shard.inflight.fetch_sub(1);
-        return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
-                         "deadlineMicros out of range");
     }
 
     // Brownout: a Degraded shard degrades service instead of refusing

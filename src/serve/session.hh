@@ -212,7 +212,7 @@ struct InferenceRequest
      * never its outputs — a fixed-T request's results stay
      * bit-identical with or without one. Capped at
      * serve::kMaxDeadlineMicros (an unbounded budget would license an
-     * unbounded dispatcher hold); validateRequest rejects more.
+     * unbounded dispatcher hold); checkRequest rejects more.
      */
     std::int64_t deadlineMicros = 0;
     /** Image count. */
@@ -384,6 +384,15 @@ class InferenceSession
      *  caller may release it immediately. */
     ResultHandle submit(InferenceRequest request);
 
+    /**
+     * Why `request` cannot be served — the first broken rule
+     * (serve::requestRuleViolation, then the program's input dim and
+     * the feature pointer) — or empty when it can. run() and submit()
+     * fatal() on a non-empty reason; the network server sends it back
+     * as a BadRequest before admitting the request.
+     */
+    std::string checkRequest(const InferenceRequest &request) const;
+
     /** Block until every submitted request has completed. */
     void drain();
 
@@ -464,9 +473,6 @@ class InferenceSession
     std::int64_t passEstimateMicros(int t) const;
     void observePassMicros(int t, double micros);
 
-    /** fatal() unless the request matches the program geometry. */
-    void validateRequest(const InferenceRequest &request) const;
-
     /** The engine serving ensemble size `t` (created on first use,
      *  cached up to kMaxCachedEngines — per-request T is caller
      *  controlled, so the cache must stay bounded; an evicted engine's
@@ -479,25 +485,9 @@ class InferenceSession
      *  the deadline-aware coalescer kept open before dispatch. */
     void executePass(std::vector<Queued> &items, int t, bool held);
 
-    /** Decorate one image range of an engine result. `sample_stride`
-     *  is the per-image row capacity of `sample_probs` (the budget);
-     *  `achieved` / `reasons` are per-image across the whole pass and
-     *  may be null (fixed-T: every image ran exactly `t` rounds). */
-    InferenceResult buildResultImpl(
-        std::uint64_t request_id, const std::size_t *predicted,
-        const float *probs, const float *sample_probs,
-        std::size_t sample_stride, const int *achieved,
-        const accel::McExitReason *reasons, std::size_t first_image,
-        std::size_t count, int t, std::size_t batched_images) const;
-
-    /** Decorate one image range of a detailed engine result. */
-    InferenceResult buildResult(std::uint64_t request_id,
-                                const accel::McBatchResult &detailed,
-                                std::size_t first_image,
-                                std::size_t count, int t,
-                                std::size_t batched_images) const;
-
-    /** Same over an adaptive early-exit result. */
+    /** Decorate one image range [first_image, first_image + count) of
+     *  an engine pass. With the adaptive policy disabled every image
+     *  reports the full `t` rounds and a Budget exit. */
     InferenceResult buildResult(
         std::uint64_t request_id,
         const accel::McAdaptiveBatchResult &detailed,
@@ -505,10 +495,11 @@ class InferenceSession
         std::size_t batched_images) const;
 
     /** The engine-facing adaptive options resolved from
-     *  opts_.adaptive with budget `t`. `tightest_deadline_micros` is
-     *  the smallest remaining member latency budget (0 = none): it
-     *  caps the pass's anytime wall-clock deadline, integrating the
-     *  request budget with the PR 7 anytime path. */
+     *  opts_.adaptive with budget `t` (enabled mirrors the policy: a
+     *  disabled policy runs the engine's exact fixed-T path).
+     *  `tightest_deadline_micros` is the smallest remaining member
+     *  latency budget (0 = none): under the enabled policy it caps the
+     *  pass's anytime wall-clock deadline. */
     accel::McAdaptiveOptions adaptiveOptions(
         int t, std::int64_t tightest_deadline_micros) const;
 
@@ -525,11 +516,6 @@ class InferenceSession
      *  otherwise the fallback streams images sequentially and merging
      *  would make outputs depend on batch composition. */
     bool coalesce_;
-
-    /** Upper bound on any ensemble size (session or per-request) —
-     *  T drives count x T x outputDim allocations, so an absurd value
-     *  must fail with a message, not a bad_alloc. */
-    static constexpr int kMaxEnsembleSize = 65536;
 
     /** Serializes engine construction/use and counter updates. */
     mutable std::mutex execMutex_;

@@ -13,6 +13,7 @@
 
 #include "accel/config.hh"
 #include "accel/functional.hh"
+#include "accel/program.hh"
 #include "accel/ram.hh"
 #include "accel/simulator.hh"
 #include "bnn/bayesian_mlp.hh"
@@ -48,7 +49,7 @@ TEST(Config, FormatDerivation)
 TEST(Config, ValidateAcceptsPaperGeometry)
 {
     AcceleratorConfig config; // 16 x 8 x 8, B = 8
-    config.validate({784, 200, 200, 10});
+    EXPECT_EQ(config.validate({784, 200, 200, 10}), "");
 }
 
 TEST(Config, ValidateRejectsOversizedWord)
@@ -56,7 +57,10 @@ TEST(Config, ValidateRejectsOversizedWord)
     AcceleratorConfig config;
     config.bits = 16;
     config.pesPerSet = 16; // word = 16*16*16 = 4096 > MaxWS
-    EXPECT_DEATH(config.validate({784, 200, 10}), "15b|fatal|MaxWS");
+    const std::string reason = config.validate({784, 200, 10});
+    EXPECT_NE(reason.find("exceeds MaxWS 1024 (equation 15b)"),
+              std::string::npos)
+        << reason;
 }
 
 TEST(Config, ValidateRejectsUndrainableWrites)
@@ -65,7 +69,10 @@ TEST(Config, ValidateRejectsUndrainableWrites)
     config.peSets = 16;
     config.pesPerSet = 8;
     // Min layer input 64 -> 8 chunks < 16 sets.
-    EXPECT_DEATH(config.validate({64, 64, 10}), "drain|14a");
+    const std::string reason = config.validate({64, 64, 10});
+    EXPECT_NE(reason.find("cannot drain (equation 14a)"),
+              std::string::npos)
+        << reason;
 }
 
 TEST(Quantization, ShapesAndRanges)
@@ -74,29 +81,29 @@ TEST(Quantization, ShapesAndRanges)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
-    ASSERT_EQ(q.layers.size(), 2u);
-    EXPECT_EQ(q.layers[0].inDim, 6u);
-    EXPECT_EQ(q.layers[0].outDim, 5u);
-    EXPECT_EQ(q.layers[0].muWeight.size(), 30u);
-    for (auto v : q.layers[0].muWeight) {
+    const auto q = compile(net, config);
+    ASSERT_EQ(q.ops.size(), 3u); // two dense banks + output staging
+    const auto &bank = q.ops[0].bank;
+    EXPECT_EQ(bank.inDim, 6u);
+    EXPECT_EQ(bank.outDim, 5u);
+    EXPECT_EQ(bank.muWeight.size(), 30u);
+    for (auto v : bank.muWeight) {
         EXPECT_GE(v, q.weightFormat.rawMin());
         EXPECT_LE(v, q.weightFormat.rawMax());
     }
     // Sigma is non-negative by construction (softplus).
-    for (auto v : q.layers[0].sigmaWeight)
+    for (auto v : bank.sigmaWeight)
         EXPECT_GE(v, 0);
-    EXPECT_EQ(q.layerSizes(), (std::vector<std::size_t>{6, 5, 3}));
+    EXPECT_EQ(q.bankInputSizes(), (std::vector<std::size_t>{6, 5}));
+    EXPECT_EQ(q.outputDim(), 3u);
 }
 
 TEST(DatapathKernel, SampleWeightMath)
 {
-    auto net = makeNet({4, 2}, 5);
     AcceleratorConfig config;
-    config.peSets = 1;
-    config.pesPerSet = 1;
-    const auto q = quantizeNetwork(net, config);
-    DatapathKernel kernel(q);
+    const DatapathKernel kernel(config.activationFormat(),
+                                config.weightFormat(),
+                                config.epsFormat());
 
     // mu = 1.0 (raw 64 in Q8.6), sigma = 0.5 (raw 32), eps = 1.0
     // (raw 32 in Q8.5): w = 1.0 + 0.5 = 1.5 -> raw 96.
@@ -110,10 +117,10 @@ TEST(DatapathKernel, SampleWeightMath)
 
 TEST(DatapathKernel, FinishNeuronReluAndRequant)
 {
-    auto net = makeNet({4, 2}, 7);
     AcceleratorConfig config;
-    const auto q = quantizeNetwork(net, config);
-    DatapathKernel kernel(q);
+    const DatapathKernel kernel(config.activationFormat(),
+                                config.weightFormat(),
+                                config.epsFormat());
 
     // Accumulator carries frac = 6 + 4 = 10 bits. acc = 1.0 -> 1024.
     // bias = 0.5 (raw 32 in Q8.6) -> aligned 512. Sum = 1536 -> 1.5.
@@ -177,7 +184,7 @@ TEST_P(SimFunctionalEquivalence, BitExact)
     config.peSets = param.pe_sets;
     config.pesPerSet = param.pes_per_set;
     config.bits = param.bits;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
 
     auto gen_a = grng::makeGenerator("rlf", 99);
     auto gen_b = grng::makeGenerator("rlf", 99);
@@ -210,7 +217,7 @@ TEST(Simulator, BnnWallaceGrngAlsoBitExact)
     AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
 
     auto gen_a = grng::makeGenerator("bnnwallace", 7);
     auto gen_b = grng::makeGenerator("bnnwallace", 7);
@@ -225,7 +232,7 @@ TEST(Simulator, CycleCountMatchesAnalyticModel)
 {
     auto net = makeNet({784, 200, 200, 10}, 19);
     AcceleratorConfig config; // paper geometry
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
     Simulator sim(q, config, gen.get());
     std::vector<float> x(784, 0.5f);
@@ -249,7 +256,7 @@ TEST(Simulator, GrnConsumptionMatchesLanes)
     AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
     Simulator sim(q, config, gen.get());
     std::vector<float> x(32, 0.1f);
@@ -264,7 +271,7 @@ TEST(Simulator, UtilizationInUnitRange)
 {
     auto net = makeNet({784, 200, 200, 10}, 29);
     AcceleratorConfig config;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 5);
     Simulator sim(q, config, gen.get());
     std::vector<float> x(784, 0.3f);
@@ -289,7 +296,7 @@ TEST(Simulator, ZeroSigmaIsDeterministic)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
 
     auto gen_a = grng::makeGenerator("rlf", 1);
     auto gen_b = grng::makeGenerator("ziggurat", 999);
@@ -315,7 +322,7 @@ TEST(Simulator, TinyNetworkHandComputed)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 1;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 1);
     FunctionalRunner fun(q, config, gen.get());
 
@@ -333,7 +340,7 @@ TEST(Simulator, ClassifyAveragesMcSamples)
     config.peSets = 1;
     config.pesPerSet = 4;
     config.mcSamples = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 9);
     Simulator sim(q, config, gen.get());
     std::vector<float> x(16, 0.4f);
@@ -361,7 +368,7 @@ TEST(Functional, QuantizedTracksFloatWhenSigmaSmall)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
     FunctionalRunner fun(q, config, gen.get());
 

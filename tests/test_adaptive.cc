@@ -325,6 +325,9 @@ TEST(AdaptiveMc, RequiresBatchedRoundsBackend)
     mc.backendId = "functional"; // per-image fallback stream
     mc.schedule = McSchedule::PerRound;
     McEngine engine(program, config, mc);
+    // Earlier tests leave the global pool's workers alive; forking
+    // under them can deadlock, so re-execute the binary instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH((void)engine.classifyBatchAdaptive(
                      xs.data(), 2, program.inputDim(),
                      McAdaptiveOptions{}),

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "accel/config.hh"
-#include "accel/conv_lowering.hh"
+#include "accel/design_space.hh"
+#include "accel/program.hh"
+#include "accel/simulator.hh"
 #include "bnn/variational_conv.hh"
 #include "common/rng.hh"
 #include "grng/registry.hh"
@@ -50,6 +52,58 @@ smallConfig()
     return config;
 }
 
+/** The layer's filter bank quantized on the config's weight grid. */
+QuantizedLayer
+filterBank(const bnn::VariationalConv2d &layer,
+           const AcceleratorConfig &config)
+{
+    return quantizeBank(layer.muWeight().data().data(),
+                        layer.rhoWeight().data().data(),
+                        layer.muBias().data(), layer.rhoBias().data(),
+                        layer.spec().patchSize(),
+                        layer.spec().outChannels, config.weightFormat());
+}
+
+/** One conv layer on its own: a one-op program (the ConvLowered
+ *  filter bank, then Output staging). */
+QuantizedProgram
+oneConvProgram(const bnn::VariationalConv2d &layer,
+               const AcceleratorConfig &config, bool apply_relu = true)
+{
+    const auto &spec = layer.spec();
+    QuantizedProgram program;
+    program.activationFormat = config.activationFormat();
+    program.weightFormat = config.weightFormat();
+    program.epsFormat = config.epsFormat();
+    ProgramOp op;
+    op.kind = OpKind::ConvLowered;
+    op.conv = spec;
+    op.inSize = spec.inputSize();
+    op.outSize = spec.outputSize();
+    op.relu = apply_relu;
+    op.bank = filterBank(layer, config);
+    program.ops.push_back(op);
+    ProgramOp out;
+    out.kind = OpKind::Output;
+    out.inSize = spec.outputSize();
+    out.outSize = spec.outputSize();
+    out.relu = false;
+    program.ops.push_back(out);
+    return program;
+}
+
+/** Raw activation-grid outputs on the real line. */
+std::vector<float>
+toReal(const std::vector<std::int64_t> &raw,
+       const AcceleratorConfig &config)
+{
+    std::vector<float> real(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i)
+        real[i] =
+            static_cast<float>(config.activationFormat().toReal(raw[i]));
+    return real;
+}
+
 /** Freeze the posterior at its mean: quantized sigma becomes 0. */
 void
 freezeSigma(bnn::VariationalConv2d &layer)
@@ -69,9 +123,10 @@ referenceFixedConv(const bnn::VariationalConv2d &layer,
                    bool relu)
 {
     const auto &spec = layer.spec();
-    const auto lowered = quantizeConvLayer(layer, config);
-    const DatapathKernel kernel(lowered);
-    const auto &ql = lowered.layers.front();
+    const auto ql = filterBank(layer, config);
+    const auto act = config.activationFormat();
+    const DatapathKernel kernel(act, config.weightFormat(),
+                                config.epsFormat());
 
     nn::Matrix patches;
     nn::im2col(spec, x, patches);
@@ -82,8 +137,7 @@ referenceFixedConv(const bnn::VariationalConv2d &layer,
     for (std::size_t p = 0; p < positions; ++p) {
         std::vector<std::int64_t> xq(patch);
         for (std::size_t k = 0; k < patch; ++k) {
-            xq[k] =
-                lowered.activationFormat.fromReal(patches.at(p, k));
+            xq[k] = act.fromReal(patches.at(p, k));
         }
         for (std::size_t oc = 0; oc < spec.outChannels; ++oc) {
             std::int64_t acc = 0;
@@ -123,12 +177,13 @@ TEST(ConvLowering, SigmaZeroIsBitExactAgainstHostReference)
     layer.muBias()[0] = -0.5f;
 
     auto gen = grng::makeGenerator("rlf", 7);
-    ConvLayerRunner runner(layer, config, gen.get(), /*relu=*/true);
+    Simulator sim(oneConvProgram(layer, config, /*apply_relu=*/true),
+                  config, gen.get());
 
     Rng data(11);
     for (int trial = 0; trial < 4; ++trial) {
         const auto x = randomImage(spec, data);
-        const auto hw = runner.runPass(x.data());
+        const auto hw = sim.runPass(x.data());
         const auto ref = referenceFixedConv(layer, config, x.data(),
                                             /*relu=*/true);
         ASSERT_EQ(hw.size(), ref.size());
@@ -148,11 +203,12 @@ TEST(ConvLowering, NoReluPathMatchesOutputFinish)
     layer.muBias()[1] = -0.8f; // force negative outputs through
 
     auto gen = grng::makeGenerator("rlf", 17);
-    ConvLayerRunner runner(layer, config, gen.get(), /*relu=*/false);
+    Simulator sim(oneConvProgram(layer, config, /*apply_relu=*/false),
+                  config, gen.get());
 
     Rng data(19);
     const auto x = randomImage(spec, data);
-    const auto hw = runner.runPass(x.data());
+    const auto hw = sim.runPass(x.data());
     const auto ref =
         referenceFixedConv(layer, config, x.data(), /*relu=*/false);
     bool saw_negative = false;
@@ -165,13 +221,12 @@ TEST(ConvLowering, NoReluPathMatchesOutputFinish)
 
 TEST(ConvLowering, ReluClampEqualsFinishNeuron)
 {
-    // The identity the runner relies on:
+    // The identity the output stage relies on:
     // max(0, finishOutputNeuron(acc, b)) == finishNeuron(acc, b).
     const auto config = smallConfig();
-    Rng rng(23);
-    bnn::VariationalConv2d layer(smallSpec(), rng);
-    const auto lowered = quantizeConvLayer(layer, config);
-    const DatapathKernel kernel(lowered);
+    const DatapathKernel kernel(config.activationFormat(),
+                                config.weightFormat(),
+                                config.epsFormat());
     Rng probe(29);
     for (int i = 0; i < 2000; ++i) {
         const std::int64_t acc = probe.uniformInt(-30000, 30000);
@@ -192,15 +247,18 @@ TEST(ConvLowering, CycleAccountingMatchesAnalyticModel)
     bnn::VariationalConv2d layer(spec, rng);
 
     auto gen = grng::makeGenerator("rlf", 37);
-    ConvLayerRunner runner(layer, config, gen.get());
+    Simulator sim(oneConvProgram(layer, config), config, gen.get());
+    // One conv pass: positions x one bank pass.
+    const std::uint64_t per_pass =
+        spec.positions() *
+        predictPassCycles({spec.patchSize(), spec.outChannels}, config);
 
     Rng data(41);
     const auto x = randomImage(spec, data);
-    runner.runPass(x.data());
-    EXPECT_EQ(runner.stats().totalCycles, runner.cyclesPerConvPass());
-    runner.runPass(x.data());
-    EXPECT_EQ(runner.stats().totalCycles,
-              2 * runner.cyclesPerConvPass());
+    sim.runPass(x.data());
+    EXPECT_EQ(sim.stats().totalCycles, per_pass);
+    sim.runPass(x.data());
+    EXPECT_EQ(sim.stats().totalCycles, 2 * per_pass);
 }
 
 TEST(ConvLowering, SampledPassesSpreadAroundMean)
@@ -216,19 +274,20 @@ TEST(ConvLowering, SampledPassesSpreadAroundMean)
     freezeSigma(frozen);
 
     auto gen = grng::makeGenerator("rlf", 47);
-    ConvLayerRunner sampled(layer, config, gen.get());
+    Simulator sampled(oneConvProgram(layer, config), config, gen.get());
     auto gen2 = grng::makeGenerator("rlf", 47);
-    ConvLayerRunner mean_runner(frozen, config, gen2.get());
+    Simulator mean_sim(oneConvProgram(frozen, config), config,
+                       gen2.get());
 
     Rng data(53);
     const auto x = randomImage(spec, data);
-    const auto mean_out = mean_runner.runPassReal(x.data());
+    const auto mean_out = toReal(mean_sim.runPass(x.data()), config);
 
     const int reps = 60;
     std::vector<double> sum(mean_out.size(), 0.0);
     std::vector<double> sum2(mean_out.size(), 0.0);
     for (int r = 0; r < reps; ++r) {
-        const auto out = sampled.runPassReal(x.data());
+        const auto out = toReal(sampled.runPass(x.data()), config);
         for (std::size_t i = 0; i < out.size(); ++i) {
             sum[i] += out[i];
             sum2[i] += static_cast<double>(out[i]) * out[i];
@@ -274,11 +333,11 @@ TEST(ConvLowering, OutputLayoutIsChw)
     layer.muBias()[1] = 0.0f;
 
     auto gen = grng::makeGenerator("rlf", 61);
-    ConvLayerRunner runner(layer, config, gen.get());
+    Simulator sim(oneConvProgram(layer, config), config, gen.get());
 
     std::vector<float> x = {0.1f, 0.2f, 0.3f, 0.4f, 0.5f,
                             0.6f, 0.7f, 0.8f, 0.9f};
-    const auto out = runner.runPassReal(x.data());
+    const auto out = toReal(sim.runPass(x.data()), config);
     ASSERT_EQ(out.size(), 18u);
     for (std::size_t p = 0; p < 9; ++p) {
         EXPECT_NEAR(out[p], x[p], 0.05) << "ch0 at " << p;

@@ -46,7 +46,7 @@ TEST_P(CyclePredictionSweep, AnalyticModelIsCycleExact)
 
     Rng rng(11);
     bnn::BayesianMlp net(geo.layers, rng);
-    const auto quantized = quantizeNetwork(net, config);
+    const auto quantized = compile(net, config);
 
     auto gen = grng::makeGenerator("rlf", 3);
     Simulator sim(quantized, config, gen.get());

@@ -59,7 +59,7 @@ TEST(McEngine, MatchesSerialSeedScheduleEmulation)
     // the "parallel classify matches serial classify" contract.
     auto net = makeNet({32, 16, 4}, 3);
     const auto config = smallConfig(6);
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     const auto x = makeInput(32, 11);
 
     McEngineConfig mc;
@@ -87,7 +87,7 @@ TEST(McEngine, BitIdenticalAcrossThreadCounts)
 {
     auto net = makeNet({32, 16, 4}, 5);
     const auto config = smallConfig(8);
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     const auto x = makeInput(32, 13);
 
     McEngineConfig mc;
@@ -122,7 +122,7 @@ TEST(McEngine, BatchBitIdenticalAcrossThreadCounts)
 {
     auto net = makeNet({32, 16, 4}, 7);
     const auto config = smallConfig(4);
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
 
     const std::size_t count = 5, dim = 32;
     std::vector<float> xs(count * dim);
@@ -153,7 +153,7 @@ TEST(McEngine, BatchImageZeroMatchesSingleClassify)
     // single-image classify, so the two must agree exactly.
     auto net = makeNet({32, 16, 4}, 19);
     const auto config = smallConfig(4);
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     const auto x = makeInput(32, 23);
 
     McEngineConfig mc;
@@ -181,7 +181,7 @@ TEST(McEngine, AggregateCountersMatchSerialClassify)
     // exactly what a serial Simulator::classify reports.
     auto net = makeNet({32, 16, 4}, 29);
     const auto config = smallConfig(5);
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     const auto x = makeInput(32, 37);
 
     auto gen = grng::makeGenerator("rlf", 41);
@@ -219,7 +219,7 @@ TEST(McEngine, SigmaZeroMatchesSerialClassifyExactly)
     config.peSets = 1;
     config.pesPerSet = 4;
     config.mcSamples = 3;
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     const auto x = makeInput(16, 53);
 
     auto gen = grng::makeGenerator("rlf", 59);
@@ -249,7 +249,7 @@ TEST(McEngine, ProbabilitiesNearSerialClassify)
     // stream-handling bugs (reused or skipped samples), not MC noise.
     auto net = makeNet({32, 16, 4}, 67);
     const auto config = smallConfig(32);
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     const auto x = makeInput(32, 71);
 
     auto gen = grng::makeGenerator("rlf", 73);
@@ -273,7 +273,7 @@ TEST(McEngine, RepeatedRunsAreDeterministic)
 {
     auto net = makeNet({32, 16, 4}, 83);
     const auto config = smallConfig(4);
-    const auto q = quantizeNetwork(net, config);
+    const auto q = compile(net, config);
     const auto x = makeInput(32, 89);
 
     McEngineConfig mc;

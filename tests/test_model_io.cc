@@ -139,33 +139,33 @@ TEST(ModelIo, ConvNetRoundTripIsBitExact)
     std::remove(path.c_str());
 }
 
-TEST(ModelIo, QuantizedNetworkRoundTrip)
+TEST(ModelIo, MlpProgramRoundTrip)
 {
     const auto path = tempPath("quant_rt");
     auto net = makeMlp();
     accel::AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto quantized = accel::quantizeNetwork(net, config);
-    ASSERT_TRUE(saveQuantizedNetwork(quantized, path));
+    const auto program = accel::compile(net, config);
+    ASSERT_TRUE(saveQuantizedProgram(program, path));
 
-    auto loaded = loadQuantizedNetwork(path);
+    auto loaded = loadQuantizedProgram(path);
     ASSERT_NE(loaded, nullptr);
-    ASSERT_EQ(loaded->layers.size(), quantized.layers.size());
-    for (std::size_t l = 0; l < quantized.layers.size(); ++l) {
-        EXPECT_EQ(loaded->layers[l].inDim, quantized.layers[l].inDim);
-        EXPECT_EQ(loaded->layers[l].muWeight,
-                  quantized.layers[l].muWeight);
-        EXPECT_EQ(loaded->layers[l].sigmaWeight,
-                  quantized.layers[l].sigmaWeight);
-        EXPECT_EQ(loaded->layers[l].muBias, quantized.layers[l].muBias);
-        EXPECT_EQ(loaded->layers[l].sigmaBias,
-                  quantized.layers[l].sigmaBias);
+    ASSERT_EQ(loaded->ops.size(), program.ops.size());
+    for (std::size_t i = 0; i < program.ops.size(); ++i) {
+        const auto &a = program.ops[i].bank;
+        const auto &b = loaded->ops[i].bank;
+        EXPECT_EQ(b.inDim, a.inDim);
+        EXPECT_EQ(b.muWeight, a.muWeight);
+        EXPECT_EQ(b.sigmaWeight, a.sigmaWeight);
+        EXPECT_EQ(b.muBias, a.muBias);
+        EXPECT_EQ(b.sigmaBias, a.sigmaBias);
     }
     EXPECT_EQ(loaded->activationFormat.totalBits(),
-              quantized.activationFormat.totalBits());
+              program.activationFormat.totalBits());
     EXPECT_EQ(loaded->weightFormat.fracBits(),
-              quantized.weightFormat.fracBits());
+              program.weightFormat.fracBits());
+    EXPECT_EQ(accel::validateProgram(*loaded, config), "");
     std::remove(path.c_str());
 }
 
@@ -235,15 +235,13 @@ TEST(ModelIo, QuantizedProgramCorruptionAndCrossKindRejected)
     accel::AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto program =
-        accel::programFromNetwork(accel::quantizeNetwork(net, config));
+    const auto program = accel::compile(net, config);
     ASSERT_TRUE(saveQuantizedProgram(program, path));
 
-    // A program image is not a network image and vice versa.
-    EXPECT_EQ(loadQuantizedNetwork(path), nullptr);
+    // A program image is not a model image and vice versa.
+    EXPECT_EQ(loadBayesianMlp(path), nullptr);
     auto bytes = slurp(path);
-    ASSERT_TRUE(saveQuantizedNetwork(accel::quantizeNetwork(net, config),
-                                     path));
+    ASSERT_TRUE(saveBayesianMlp(net, path));
     EXPECT_EQ(loadQuantizedProgram(path), nullptr);
 
     // Checksum still guards the payload.
@@ -251,6 +249,50 @@ TEST(ModelIo, QuantizedProgramCorruptionAndCrossKindRejected)
     spit(path, bytes);
     EXPECT_EQ(loadQuantizedProgram(path), nullptr);
     std::remove(path.c_str());
+}
+
+TEST(ModelIo, CraftedProgramFileIsRejectedWithReason)
+{
+    // A file with a valid checksum can still hold an unusable program.
+    // The loader parses the container; validateProgram says what is
+    // wrong — a reason to report, not a dead process.
+    auto net = makeMlp();
+    accel::AcceleratorConfig config;
+    config.peSets = 2;
+    config.pesPerSet = 4;
+    const auto program = accel::compile(net, config);
+
+    const auto reload = [&](const accel::QuantizedProgram &crafted) {
+        const auto path = tempPath("prog_crafted");
+        EXPECT_TRUE(saveQuantizedProgram(crafted, path));
+        auto loaded = loadQuantizedProgram(path);
+        std::remove(path.c_str());
+        EXPECT_NE(loaded, nullptr) << "the container itself is sound";
+        return loaded ? accel::validateProgram(*loaded, config)
+                      : std::string("not loaded");
+    };
+
+    auto unchained = program;
+    unchained.ops[1].inSize += 1;
+    const std::string chain_reason = reload(unchained);
+    EXPECT_NE(chain_reason.find("does not chain"), std::string::npos)
+        << chain_reason;
+
+    auto short_plane = program;
+    short_plane.ops[0].bank.sigmaWeight.pop_back();
+    const std::string plane_reason = reload(short_plane);
+    EXPECT_NE(plane_reason.find("parameter planes do not match"),
+              std::string::npos)
+        << plane_reason;
+
+    auto smuggled = program;
+    smuggled.ops.back().bank.muWeight = {1, 2, 3};
+    const std::string staging_reason = reload(smuggled);
+    EXPECT_NE(staging_reason.find("parameter planes do not match"),
+              std::string::npos)
+        << staging_reason;
+
+    EXPECT_EQ(reload(program), "");
 }
 
 TEST(ModelIo, MissingFileReturnsNull)
@@ -307,9 +349,9 @@ TEST(ModelIo, CrossKindLoadRejected)
     const auto path = tempPath("kind");
     auto net = makeMlp();
     ASSERT_TRUE(saveBayesianMlp(net, path));
-    // An MLP image is not a ConvNet image nor a quantized image.
+    // An MLP image is not a ConvNet image nor a program image.
     EXPECT_EQ(loadBayesianConvNet(path), nullptr);
-    EXPECT_EQ(loadQuantizedNetwork(path), nullptr);
+    EXPECT_EQ(loadQuantizedProgram(path), nullptr);
     std::remove(path.c_str());
 }
 

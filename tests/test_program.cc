@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "accel/config.hh"
-#include "accel/conv_lowering.hh"
 #include "accel/design_space.hh"
 #include "accel/functional.hh"
 #include "accel/mc_engine.hh"
@@ -82,6 +81,44 @@ randomImage(std::size_t dim, std::uint64_t seed)
     return x;
 }
 
+ProgramOp
+outputOp(std::size_t dim)
+{
+    ProgramOp out;
+    out.kind = OpKind::Output;
+    out.inSize = dim;
+    out.outSize = dim;
+    out.relu = false;
+    out.label = "output";
+    return out;
+}
+
+/** A one-conv program: the layer's filter bank as a ConvLowered op,
+ *  then Output staging. */
+QuantizedProgram
+oneConvProgram(const bnn::VariationalConv2d &layer,
+               const AcceleratorConfig &config)
+{
+    const auto &spec = layer.spec();
+    QuantizedProgram program;
+    program.activationFormat = config.activationFormat();
+    program.weightFormat = config.weightFormat();
+    program.epsFormat = config.epsFormat();
+    ProgramOp op;
+    op.kind = OpKind::ConvLowered;
+    op.conv = spec;
+    op.inSize = spec.inputSize();
+    op.outSize = spec.outputSize();
+    op.relu = true;
+    op.bank = quantizeBank(
+        layer.muWeight().data().data(), layer.rhoWeight().data().data(),
+        layer.muBias().data(), layer.rhoBias().data(), spec.patchSize(),
+        spec.outChannels, program.weightFormat);
+    program.ops.push_back(op);
+    program.ops.push_back(outputOp(spec.outputSize()));
+    return program;
+}
+
 } // namespace
 
 TEST(ProgramCompile, MlpProgramShape)
@@ -127,28 +164,48 @@ TEST(ProgramCompile, CnnProgramShape)
     EXPECT_EQ(program.ops[5].inSize, 16u);
 }
 
-TEST(ProgramCompile, MlpProgramMatchesLegacyNetworkPath)
+TEST(ProgramCompile, MlpProgramMatchesHandBuiltBankProgram)
 {
-    // The compiled MLP program and the legacy flat-QuantizedNetwork
-    // constructors must execute identically, bit for bit, on both
-    // executors (the refactor cannot move the MLP results).
+    // compile() of an MLP is exactly one quantizeBank Dense op per
+    // layer plus Output staging: a program assembled by hand that way
+    // must execute identically, bit for bit, on both executors.
     Rng rng(7);
     bnn::BayesianMlp net({32, 16, 4}, rng);
     AcceleratorConfig config = tinyConfig();
     const auto program = compile(net, config);
-    const auto network = quantizeNetwork(net, config);
+
+    QuantizedProgram by_hand;
+    by_hand.activationFormat = config.activationFormat();
+    by_hand.weightFormat = config.weightFormat();
+    by_hand.epsFormat = config.epsFormat();
+    for (std::size_t i = 0; i < net.layers().size(); ++i) {
+        const auto &layer = net.layers()[i];
+        ProgramOp op;
+        op.kind = OpKind::Dense;
+        op.inSize = layer.inDim();
+        op.outSize = layer.outDim();
+        op.relu = i + 1 < net.layers().size();
+        op.bank = quantizeBank(layer.muWeight().data().data(),
+                               layer.rhoWeight().data().data(),
+                               layer.muBias().data(),
+                               layer.rhoBias().data(), layer.inDim(),
+                               layer.outDim(), by_hand.weightFormat);
+        by_hand.ops.push_back(op);
+    }
+    by_hand.ops.push_back(outputOp(net.outputDim()));
+    ASSERT_EQ(validateProgram(by_hand, config), "");
 
     auto gen_a = grng::makeGenerator("rlf", 99);
     auto gen_b = grng::makeGenerator("rlf", 99);
     auto gen_c = grng::makeGenerator("rlf", 99);
     Simulator sim_program(program, config, gen_a.get());
-    Simulator sim_legacy(network, config, gen_b.get());
+    Simulator sim_by_hand(by_hand, config, gen_b.get());
     FunctionalRunner fun_program(program, config, gen_c.get());
 
     const auto x = randomImage(32, 11);
     for (int pass = 0; pass < 3; ++pass) {
         const auto a = sim_program.runPass(x.data());
-        const auto b = sim_legacy.runPass(x.data());
+        const auto b = sim_by_hand.runPass(x.data());
         const auto c = fun_program.runPass(x.data());
         ASSERT_EQ(a, b) << "pass " << pass;
         ASSERT_EQ(a, c) << "pass " << pass;
@@ -226,7 +283,7 @@ TEST(ProgramExecution, CycleCountMatchesAnalyticProgramModel)
 
 TEST(ProgramExecution, ConvOpDrawsFreshSamplesPerPosition)
 {
-    // The semantics inherited from ConvLayerRunner: every output
+    // The conv lowering's semantics: every output
     // position re-samples the filter bank. With a constant input map
     // every position sees the identical patch, so any spread across
     // positions can only come from fresh eps draws.
@@ -298,11 +355,11 @@ TEST(ProgramExecution, SigmaZeroCnnIsDeterministic)
     EXPECT_EQ(sim_a.runPass(x.data()), sim_b.runPass(x.data()));
 }
 
-TEST(ProgramExecution, ConvProgramMatchesConvLayerRunner)
+TEST(ProgramExecution, OneConvProgramBitExactAcrossExecutors)
 {
-    // A one-conv program executed through the generic pipeline must
-    // reproduce ConvLayerRunner (itself now a wrapper) bit for bit —
-    // same lowering, same eps order.
+    // A single conv layer studied on its own is a one-op program; both
+    // executors run it through the generic pipeline bit for bit — same
+    // lowering, same eps order.
     nn::ConvSpec spec;
     spec.inChannels = 1;
     spec.inHeight = 6;
@@ -314,34 +371,15 @@ TEST(ProgramExecution, ConvProgramMatchesConvLayerRunner)
     AcceleratorConfig config = tinyConfig();
     Rng rng(61);
     bnn::VariationalConv2d layer(spec, rng, -2.0f);
+    const auto program = oneConvProgram(layer, config);
 
     auto gen_a = grng::makeGenerator("rlf", 67);
-    ConvLayerRunner runner(layer, config, gen_a.get(), /*relu=*/true);
-
-    QuantizedProgram program;
-    program.activationFormat = config.activationFormat();
-    program.weightFormat = config.weightFormat();
-    program.epsFormat = config.epsFormat();
-    ProgramOp op;
-    op.kind = OpKind::ConvLowered;
-    op.conv = spec;
-    op.inSize = spec.inputSize();
-    op.outSize = spec.outputSize();
-    op.relu = true;
-    op.bank = quantizeConvLayer(layer, config).layers.front();
-    program.ops.push_back(op);
-    ProgramOp out;
-    out.kind = OpKind::Output;
-    out.inSize = spec.outputSize();
-    out.outSize = spec.outputSize();
-    out.label = "output";
-    program.ops.push_back(out);
-
     auto gen_b = grng::makeGenerator("rlf", 67);
-    Simulator sim(program, config, gen_b.get());
+    Simulator sim(program, config, gen_a.get());
+    FunctionalRunner fun(program, config, gen_b.get());
 
     const auto x = randomImage(spec.inputSize(), 71);
-    EXPECT_EQ(runner.runPass(x.data()), sim.runPass(x.data()));
+    EXPECT_EQ(fun.runPass(x.data()), sim.runPass(x.data()));
 }
 
 TEST(ProgramExecution, McEngineCnnThreadCountInvariance)
@@ -394,25 +432,7 @@ TEST(ProgramExecution, PatchWiderThanMapsStillBitExact)
     AcceleratorConfig config = tinyConfig();
     Rng rng(101);
     bnn::VariationalConv2d layer(spec, rng, -2.0f);
-
-    QuantizedProgram program;
-    program.activationFormat = config.activationFormat();
-    program.weightFormat = config.weightFormat();
-    program.epsFormat = config.epsFormat();
-    ProgramOp op;
-    op.kind = OpKind::ConvLowered;
-    op.conv = spec;
-    op.inSize = spec.inputSize();
-    op.outSize = spec.outputSize();
-    op.relu = true;
-    op.bank = quantizeConvLayer(layer, config).layers.front();
-    program.ops.push_back(op);
-    ProgramOp out;
-    out.kind = OpKind::Output;
-    out.inSize = spec.outputSize();
-    out.outSize = spec.outputSize();
-    out.label = "output";
-    program.ops.push_back(out);
+    const auto program = oneConvProgram(layer, config);
 
     auto gen_a = grng::makeGenerator("rlf", 103);
     auto gen_b = grng::makeGenerator("rlf", 103);
@@ -428,14 +448,8 @@ TEST(ProgramValidation, EmptyProgramIsFatal)
     EXPECT_DEATH(program.inputDim(), "no ops");
     EXPECT_DEATH(program.outputDim(), "no ops");
     AcceleratorConfig config = tinyConfig();
-    EXPECT_DEATH(validateProgram(program, config), "no ops");
-}
-
-TEST(ProgramValidation, EmptyQuantizedNetworkIsFatal)
-{
-    QuantizedNetwork network;
-    EXPECT_DEATH(network.inputDim(), "no layers");
-    EXPECT_DEATH(network.outputDim(), "no layers");
+    EXPECT_NE(validateProgram(program, config).find("no ops"),
+              std::string::npos);
 }
 
 TEST(ProgramValidation, DrainConstraintAppliesToConvBanks)
@@ -450,12 +464,65 @@ TEST(ProgramValidation, DrainConstraintAppliesToConvBanks)
     EXPECT_DEATH(compile(net, config), "drain|14a");
 }
 
-TEST(ProgramValidation, ChainMismatchIsFatal)
+TEST(ProgramValidation, ChainMismatchIsRejectedWithReason)
 {
     Rng rng(97);
     bnn::BayesianMlp net({16, 8, 4}, rng);
     AcceleratorConfig config = tinyConfig();
     auto program = compile(net, config);
+    EXPECT_EQ(validateProgram(program, config), "");
     program.ops[1].inSize = 9; // break the op chain
-    EXPECT_DEATH(validateProgram(program, config), "chain");
+    const std::string reason = validateProgram(program, config);
+    EXPECT_NE(reason.find("does not chain"), std::string::npos) << reason;
+}
+
+TEST(ProgramValidation, PlaneSizesAreChecked)
+{
+    // The executors index a bank's planes by its shape, so a plane of
+    // the wrong length must be rejected before anything reads it.
+    Rng rng(113);
+    bnn::BayesianMlp net({16, 8, 4}, rng);
+    AcceleratorConfig config = tinyConfig();
+    const auto program = compile(net, config);
+
+    const auto reason_with = [&](auto &&mutate) {
+        auto broken = program;
+        mutate(broken);
+        return validateProgram(broken, config);
+    };
+    const std::string needle = "parameter planes do not match";
+    for (const std::string &reason :
+         {reason_with([](QuantizedProgram &p) {
+              p.ops[0].bank.muWeight.pop_back();
+          }),
+          reason_with([](QuantizedProgram &p) {
+              p.ops[1].bank.sigmaWeight.push_back(0);
+          }),
+          reason_with([](QuantizedProgram &p) {
+              p.ops[0].bank.muBias.pop_back();
+          }),
+          reason_with([](QuantizedProgram &p) {
+              p.ops[1].bank.sigmaBias.clear();
+          }),
+          // Staging ops carry no parameters at all.
+          reason_with([](QuantizedProgram &p) {
+              p.ops[2].bank.muBias.push_back(1);
+          })}) {
+        EXPECT_NE(reason.find(needle), std::string::npos) << reason;
+    }
+}
+
+TEST(ProgramValidationDeathTest, HandBuiltShortPlanesAreFatalInProcess)
+{
+    // The in-process constructors keep the fail-fast contract: a
+    // hand-built program with a short plane dies with the reason
+    // instead of being read out of bounds.
+    Rng rng(127);
+    bnn::BayesianMlp net({16, 8, 4}, rng);
+    AcceleratorConfig config = tinyConfig();
+    auto program = compile(net, config);
+    program.ops[0].bank.sigmaWeight.resize(3);
+    auto gen = grng::makeGenerator("rlf", 1);
+    EXPECT_DEATH(FunctionalRunner(program, config, gen.get()),
+                 "parameter planes do not match");
 }

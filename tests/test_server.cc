@@ -471,6 +471,111 @@ TEST(Server, WrongGeometryIsABadRequestNotACrash)
     server->stop();
 }
 
+TEST(Server, BrokenRequestRulesGetTheSessionReason)
+{
+    // One frame per request rule. Each must come back as a BadRequest
+    // carrying the session's own reason (the one rule set serves every
+    // admission edge), reserve no admission slot, and leave the
+    // connection serving valid requests bit-exactly.
+    const auto config = smallConfig(4);
+    const SessionOptions session = throughputOptions();
+    auto reference = referenceSession(config, session);
+    const std::size_t dim = reference->inputDim();
+    const auto good = randomBatch(2, dim, 31);
+    const auto ref =
+        reference->run(InferenceRequest::borrow(good.data(), 2, dim));
+
+    ServerOptions options;
+    options.session = session;
+    options.shards = 2;
+    auto server = startServer(config, options);
+    std::string error;
+    net::Socket raw =
+        net::connectTcp("127.0.0.1", server->port(), error);
+    ASSERT_TRUE(raw.valid()) << error;
+
+    struct Case
+    {
+        const char *rule;
+        std::uint32_t count;
+        std::uint32_t dim;
+        std::uint32_t mcSamples;
+        std::int64_t deadlineMicros;
+    };
+    const std::uint32_t d = static_cast<std::uint32_t>(dim);
+    const Case cases[] = {
+        {"count 0", 0, d, 0, 0},
+        {"wrong dim", 1, d + 1, 0, 0},
+        {"mcSamples over the cap", 1, d,
+         static_cast<std::uint32_t>(kMaxEnsembleSize) + 1, 0},
+        {"deadline over the cap", 1, d, 0, kMaxDeadlineMicros + 1},
+    };
+    std::uint64_t id = 100;
+    for (const Case &c : cases) {
+        net::WireClassifyRequest wire;
+        wire.id = ++id;
+        wire.count = c.count;
+        wire.dim = c.dim;
+        wire.mcSamples = c.mcSamples;
+        wire.deadlineMicros = c.deadlineMicros;
+        wire.features = randomBatch(c.count, c.dim, 37);
+        const auto frame = net::encodeClassifyRequest(wire);
+        ASSERT_TRUE(net::writeAll(raw, frame.data(), frame.size()));
+
+        net::FrameType type;
+        std::vector<std::uint8_t> payload;
+        ASSERT_TRUE(net::readFrame(raw, type, payload, error)) << error;
+        ASSERT_EQ(type, net::FrameType::Error) << c.rule;
+        net::WireError err;
+        ASSERT_TRUE(net::decodeError(payload.data(), payload.size(), err,
+                                     error));
+        EXPECT_EQ(err.code, net::ErrorCode::BadRequest) << c.rule;
+        EXPECT_EQ(err.id, wire.id) << c.rule;
+
+        InferenceRequest request = InferenceRequest::borrow(
+            wire.features.data(), c.count, c.dim);
+        request.mcSamples = static_cast<int>(c.mcSamples);
+        request.deadlineMicros = c.deadlineMicros;
+        const std::string reason = reference->checkRequest(request);
+        EXPECT_FALSE(reason.empty()) << c.rule;
+        EXPECT_EQ(err.message, reason) << c.rule;
+    }
+
+    const ServerStats before = server->stats();
+    EXPECT_EQ(before.rejects, 0u);
+    EXPECT_EQ(before.requests, 0u);
+    for (const auto &shard : before.shards)
+        EXPECT_EQ(shard.queueDepth, 0u);
+
+    // The same connection then serves a valid request bit-exactly.
+    net::WireClassifyRequest wire;
+    wire.id = ++id;
+    wire.count = 2;
+    wire.dim = d;
+    wire.features = good;
+    const auto frame = net::encodeClassifyRequest(wire);
+    ASSERT_TRUE(net::writeAll(raw, frame.data(), frame.size()));
+    net::FrameType type;
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(net::readFrame(raw, type, payload, error)) << error;
+    ASSERT_EQ(type, net::FrameType::ClassifyResponse);
+    Client::Reply reply;
+    ASSERT_TRUE(net::decodeClassifyResponse(payload.data(), payload.size(),
+                                            reply.response, error))
+        << error;
+    reply.status = Client::Status::Ok;
+    EXPECT_EQ(reply.response.id, wire.id);
+    expectBitExact(reply, ref);
+
+    const ServerStats after = server->stats();
+    EXPECT_EQ(after.rejects, 0u);
+    EXPECT_EQ(after.requests, 1u);
+    for (const auto &shard : after.shards)
+        EXPECT_EQ(shard.queueDepth, 0u);
+    raw.close();
+    server->stop();
+}
+
 TEST(Server, TruncatedFrameThenCloseDoesNotHangTheServer)
 {
     const auto config = smallConfig(4);

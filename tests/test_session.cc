@@ -534,6 +534,65 @@ TEST(SessionValidationDeathTest, RequestsAreValidated)
                  "no images");
 }
 
+TEST(InferenceSession, CheckRequestNamesTheFirstBrokenRule)
+{
+    const auto config = smallConfig();
+    auto session = smallBuilder(config).build();
+    const std::size_t dim = session->inputDim();
+    const auto xs = randomBatch(2, dim, 53);
+    const auto reason_for = [&](auto &&mutate) {
+        InferenceRequest request =
+            InferenceRequest::borrow(xs.data(), 2, dim);
+        mutate(request);
+        return session->checkRequest(request);
+    };
+    const auto expect_reason = [](const std::string &reason,
+                                  const char *needle) {
+        EXPECT_NE(reason.find(needle), std::string::npos)
+            << "reason '" << reason << "' lacks '" << needle << "'";
+    };
+
+    EXPECT_EQ(reason_for([](InferenceRequest &) {}), "");
+    expect_reason(reason_for([](InferenceRequest &r) { r.count = 0; }),
+                  "no images");
+    expect_reason(reason_for([](InferenceRequest &r) { r.dim += 1; }),
+                  "does not match the program input dim");
+    expect_reason(
+        reason_for([](InferenceRequest &r) { r.features = nullptr; }),
+        "no feature data");
+    expect_reason(reason_for([](InferenceRequest &r) {
+                      r.mcSamples = kMaxEnsembleSize + 1;
+                  }),
+                  "mcSamples must be in");
+    expect_reason(
+        reason_for([](InferenceRequest &r) { r.mcSamples = -1; }),
+        "mcSamples must be in");
+    expect_reason(reason_for([](InferenceRequest &r) {
+                      r.deadlineMicros = kMaxDeadlineMicros + 1;
+                  }),
+                  "deadlineMicros must be in");
+    // The limits themselves are admissible.
+    EXPECT_EQ(reason_for([](InferenceRequest &r) {
+                  r.mcSamples = kMaxEnsembleSize;
+                  r.deadlineMicros = kMaxDeadlineMicros;
+              }),
+              "");
+}
+
+TEST(SessionValidationDeathTest, HandBuiltProgramWithShortPlanesIsFatal)
+{
+    // Builder().program() validates plane sizes before any executor
+    // could read past a short plane.
+    const auto config = smallConfig();
+    auto program = mlpProgram(config, 7);
+    program.ops[1].bank.muWeight.resize(5);
+    EXPECT_DEATH((void)InferenceSession::Builder()
+                     .program(program)
+                     .accelerator(config)
+                     .build(),
+                 "parameter planes do not match");
+}
+
 // ------------------------------------------- deadline-aware dispatching
 
 TEST(SessionOptions, DeadlineAndMaxBatchEnvKnobs)

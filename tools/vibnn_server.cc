@@ -138,6 +138,12 @@ main(int argc, char **argv)
         if (!loaded)
             fatal("cannot load a QuantizedProgram from '" +
                   program_path + "'");
+        // A well-formed file can still hold an unusable program (ops
+        // that do not chain, short planes, an infeasible geometry):
+        // say why and exit before any shard is built.
+        const std::string reason = accel::validateProgram(*loaded, config);
+        if (!reason.empty())
+            fatal("--program '" + program_path + "': " + reason);
         program = std::move(*loaded);
     } else {
         config.peSets = 2;
