@@ -10,7 +10,8 @@
  * ctest-pinned bit-exact). Software context for the hardware designs;
  * the FPGA-side throughput story lives in bench_table2/bench_table5.
  * VIBNN_BENCH_JSON=<path> records all sections machine-readably
- * (bench "grng_micro").
+ * (bench "grng_micro"). Every rate is in millions of samples per
+ * second; the record fields carry the matching `_mps` suffix.
  */
 
 #include <cstring>
@@ -131,9 +132,9 @@ main()
                        .field("bench", "grng_micro")
                        .field("section", "generators")
                        .field("generator", id)
-                       .field("next_ms", next_rate)
-                       .field("fill_ms", fill_rate)
-                       .field("fill_fixed_ms", fixed_rate));
+                       .field("next_mps", next_rate)
+                       .field("fill_mps", fill_rate)
+                       .field("fill_fixed_mps", fixed_rate));
     }
     gens.print();
     std::printf("\n(fill/fillFixed amortize one virtual call over %zu "
@@ -179,8 +180,8 @@ main()
                        .field("section", "tiers")
                        .field("tier", tier->name)
                        .field("active", active ? 1 : 0)
-                       .field("rlf_eps_ms", rlf_rate)
-                       .field("wallace_eps_ms", wallace_rate));
+                       .field("rlf_eps_mps", rlf_rate)
+                       .field("wallace_eps_mps", wallace_rate));
     }
     tiers.print();
     std::printf("\n(* = dispatch-selected; all tiers bit-exact, the "

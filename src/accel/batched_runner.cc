@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include <unistd.h>
 
 #include "accel/conv_lowering.hh"
+#include "accel/weight_cache.hh"
 #include "common/env.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
@@ -132,6 +134,22 @@ BatchedRunner::setGenerator(grng::GaussianGenerator *generator)
     weightGen_.setGenerator(generator);
 }
 
+bool
+BatchedRunner::bindCacheRound(WeightCache &cache, std::uint64_t round)
+{
+    VIBNN_ASSERT(cache.weightsPerRound() == weightArena_.size(),
+                 "weight cache does not match this program's arena");
+    restored_ = cache.restore(round, weightArena_.data());
+    if (restored_) {
+        repackInt16();
+        boundCache_ = nullptr;
+    } else {
+        boundCache_ = &cache;
+        boundRound_ = round;
+    }
+    return restored_;
+}
+
 namespace
 {
 
@@ -236,7 +254,6 @@ BatchedRunner::sampleRoundWeights()
                 sampleWeightRange(s, w0, w1, base);
         });
         weightGen_.finishShardedRound(base + total);
-        injectWeightFaults();
         return;
     }
 
@@ -251,7 +268,22 @@ BatchedRunner::sampleRoundWeights()
             ops.packInt16(slab,
                           weightArena16_.data() + opWeightBase_[oi], n);
     }
-    injectWeightFaults();
+}
+
+void
+BatchedRunner::repackInt16()
+{
+    if (!anyInt16_)
+        return;
+    const auto &ops = kernels::activeKernels();
+    for (const std::size_t oi : computeOps_) {
+        if (!opInt16_[oi])
+            continue;
+        const auto &op = program_.ops[oi];
+        ops.packInt16(weightArena_.data() + opWeightBase_[oi],
+                      weightArena16_.data() + opWeightBase_[oi],
+                      op.bank.outDim * op.bank.inDim);
+    }
 }
 
 void
@@ -263,11 +295,11 @@ BatchedRunner::injectWeightFaults()
     if (rate <= 0.0 || weightArena_.empty())
         return;
 
-    // Seed the flip stream from a content hash of the freshly drawn
-    // arena XOR the site seed. The arena is bit-identical per round
-    // regardless of thread count or shard assignment (the determinism
-    // contract), so the flip pattern is too — a chaos run replays
-    // exactly on any machine configuration.
+    // Seed the flip stream from a content hash of the clean (drawn or
+    // restored) arena XOR the site seed. The arena is bit-identical per
+    // round regardless of thread count, shard assignment or cache hit
+    // (the determinism contract), so the flip pattern is too — a chaos
+    // run replays exactly on any machine configuration.
     std::uint64_t hash = 1469598103934665603ull; // FNV-1a basis
     const auto *bytes =
         reinterpret_cast<const unsigned char *>(weightArena_.data());
@@ -322,18 +354,7 @@ BatchedRunner::injectWeightFaults()
     fault::recordFires("accel.weights.bitflip", flips);
     // The int16 mirror must match the corrupted arena or the madd
     // fast path would silently serve the uncorrupted weights.
-    if (anyInt16_) {
-        const auto &ops = kernels::activeKernels();
-        for (const std::size_t oi : computeOps_) {
-            if (!opInt16_[oi])
-                continue;
-            const auto &op = program_.ops[oi];
-            const std::size_t n = op.bank.outDim * op.bank.inDim;
-            ops.packInt16(weightArena_.data() + opWeightBase_[oi],
-                          weightArena16_.data() + opWeightBase_[oi],
-                          n);
-        }
-    }
+    repackInt16();
 }
 
 void
@@ -427,10 +448,22 @@ BatchedRunner::runRoundImpl(const float *xs, std::size_t stride,
                             std::size_t count, std::int64_t *out)
 {
     const std::size_t out_dim = program_.outputDim();
+    // A cache binding covers exactly one round, even an empty one.
+    const bool restored = std::exchange(restored_, false);
+    WeightCache *cache = std::exchange(boundCache_, nullptr);
     if (count == 0)
         return;
 
-    sampleRoundWeights();
+    if (restored) {
+        ++stats_.roundsRestored;
+    } else {
+        sampleRoundWeights();
+        // Offer the clean draw: faults go on this round's copy only.
+        if (cache)
+            cache->offer(boundRound_, weightArena_.data());
+        ++stats_.roundsDrawn;
+    }
+    injectWeightFaults();
 
     // Quantize the batch onto the activation grid, batch-major. With an
     // index set (adaptive active-set compaction) the gather happens

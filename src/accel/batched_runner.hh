@@ -13,12 +13,16 @@
  *
  * Per runRoundBatch call this backend:
  *
- *   1. draws one weight sample per compute op — the bank's (mu, sigma)
- *      planes go through the fused WeightGenerator::sampleBlockFused
- *      path (w = mu + sigma * eps on the weight grid, eps from the
- *      block GRNG fill() ring, identical stream and arithmetic as the
- *      fidelity executors' per-lane draws) straight into a reusable,
- *      64-byte-aligned int32 SoA arena — no staging copy;
+ *   1. fills a reusable, 64-byte-aligned int32 SoA arena with one
+ *      weight sample per compute op. A round bound to a filled slot of
+ *      the weight-ensemble cache (bindCacheRound, accel/weight_cache.hh)
+ *      restores it from there; any other round draws it — the bank's
+ *      (mu, sigma) planes go through the fused
+ *      WeightGenerator::sampleBlockFused path (w = mu + sigma * eps on
+ *      the weight grid, eps from the block GRNG fill() ring, identical
+ *      stream and arithmetic as the fidelity executors' per-lane draws)
+ *      straight into the arena, no staging copy. Unbound calls (the
+ *      standalone runner) always draw;
  *   2. walks the op list over batch-major int32 activation buffers
  *      (count x width on the activation grid — every admissible
  *      format is <= 32 bits, so the narrowing is lossless; products
@@ -103,6 +107,11 @@ class BatchedRunner : public Executor
                              std::size_t count,
                              std::int64_t *out) override;
 
+    /** Restore round `round` from `cache` into the arena when it is
+     *  filled (the next round then skips its draw), else bind the next
+     *  round's draw to be offered to `cache`. */
+    bool bindCacheRound(WeightCache &cache, std::uint64_t round) override;
+
     /** Swap the eps source (round scheduling). Not owned. */
     void setGenerator(grng::GaussianGenerator *generator) override;
 
@@ -139,14 +148,20 @@ class BatchedRunner : public Executor
     void sampleWeightRange(std::size_t shard, std::size_t w0,
                            std::size_t w1, std::uint64_t base);
 
-    /** Chaos-only bit-flip injection over the freshly drawn weight
-     *  arena (the "accel.weights.bitflip" fault site, p = per-bit
-     *  flip rate). No-op unless the fault registry is armed. The flip
-     *  pattern is seeded from a content hash of the arena itself, so
-     *  it is deterministic across thread counts and shard assignments
-     *  (the drawn arena is bit-identical by contract); flips do not
-     *  accumulate — every round draws fresh weights first. */
+    /** Chaos-only bit-flip injection over the round's weight arena
+     *  (the "accel.weights.bitflip" fault site, p = per-bit flip
+     *  rate), after it was drawn or restored. No-op unless the fault
+     *  registry is armed. The flip pattern is seeded from a content
+     *  hash of the arena itself, so it is deterministic across thread
+     *  counts and shard assignments (the arena is bit-identical by
+     *  contract) and a restored round flips exactly like its draw;
+     *  flips do not accumulate — every round rewrites the whole arena
+     *  first, and the cache only ever holds clean draws. */
     void injectWeightFaults();
+
+    /** Rebuild the int16 mirror of every madd-eligible op from the
+     *  int32 arena. */
+    void repackInt16();
 
     /** Run body(shard, begin, end) over a static partition of
      *  [0, count) — parallel when a work pool is set, serial (one
@@ -214,6 +229,13 @@ class BatchedRunner : public Executor
 
     /** Intra-pass worker pool (not owned; nullptr = serial). */
     ThreadPool *workPool_ = nullptr;
+
+    /** The next round's cache binding (bindCacheRound), consumed by
+     *  that round: restored_ means the arena already holds its
+     *  weights; otherwise a non-null boundCache_ receives its draw. */
+    bool restored_ = false;
+    WeightCache *boundCache_ = nullptr;
+    std::uint64_t boundRound_ = 0;
 };
 
 } // namespace vibnn::accel

@@ -44,6 +44,8 @@ CycleStats::operator+=(const CycleStats &other)
     grnSamples += other.grnSamples;
     macs += other.macs;
     images += other.images;
+    roundsRestored += other.roundsRestored;
+    roundsDrawn += other.roundsDrawn;
     return *this;
 }
 

@@ -52,6 +52,8 @@ class ThreadPool;
 namespace vibnn::accel
 {
 
+class WeightCache;
+
 /** Execution statistics for one or more inference passes. */
 struct CycleStats
 {
@@ -62,9 +64,16 @@ struct CycleStats
     std::uint64_t ifmemReads = 0;
     std::uint64_t ifmemWrites = 0;
     std::uint64_t wpmemReads = 0;
+    /** Eps actually drawn from the GRNG — rounds restored from the
+     *  weight-ensemble cache draw none. */
     std::uint64_t grnSamples = 0;
     std::uint64_t macs = 0;
     std::uint64_t images = 0;
+    /** Batched-backend MC rounds whose weights came from the
+     *  weight-ensemble cache (accel/weight_cache.hh)... */
+    std::uint64_t roundsRestored = 0;
+    /** ...and rounds that drew their weights from the GRNG. */
+    std::uint64_t roundsDrawn = 0;
 
     /** PE-array utilization: useful MACs / peak MAC slots. */
     double utilization(int total_pes, int pe_inputs) const;
@@ -153,6 +162,24 @@ class Executor
                                      const std::uint32_t *indices,
                                      std::size_t count,
                                      std::int64_t *out);
+
+    /**
+     * Weight-ensemble cache hook of McEngine's PerRound schedule: bind
+     * the next runRoundBatch / runRoundBatchGather call to MC round
+     * `round` of `cache`. Returns true when the round's weights were
+     * restored from the cache — the round then draws nothing, so the
+     * caller need not point the backend at the round's eps stream.
+     * Otherwise the round draws as usual and offers its clean draw to
+     * the cache before any fault injection. Default: false with no
+     * binding — the fidelity backends draw fresh weights every pass.
+     */
+    virtual bool
+    bindCacheRound(WeightCache &cache, std::uint64_t round)
+    {
+        (void)cache;
+        (void)round;
+        return false;
+    }
 
     /** Execution statistics accumulated so far. */
     virtual const CycleStats &stats() const = 0;

@@ -16,9 +16,9 @@ namespace vibnn::accel
 McEngine::McEngine(const QuantizedProgram &program,
                    const AcceleratorConfig &config,
                    const McEngineConfig &mc)
-    : program_(program), config_(config), mc_(mc)
+    : config_(config), mc_(mc)
 {
-    requireValidProgram(program_, config_);
+    requireValidProgram(program, config_);
     VIBNN_ASSERT(config_.mcSamples >= 1, "need at least one MC sample");
 
     if (mc_.threads == 0) {
@@ -28,6 +28,13 @@ McEngine::McEngine(const QuantizedProgram &program,
         if (mc_.threads > 1)
             ownPool_ = std::make_unique<ThreadPool>(mc_.threads - 1);
     }
+    if (mc_.schedule == McSchedule::PerRound &&
+        executorCaps(mc_.backendId).batchedRounds)
+        weightCache_ = WeightCache::acquire(program, mc_.generatorId,
+                                            mc_.seedBase);
+    // The first replica's copy is the engine's program: later replicas
+    // copy it, so the engine holds no copy of its own.
+    addReplica(program);
 }
 
 McEngine::~McEngine() = default;
@@ -57,18 +64,22 @@ McEngine::roundSeed(std::uint64_t seed_base, std::uint64_t round)
 }
 
 void
+McEngine::addReplica(const QuantizedProgram &program)
+{
+    Replica replica;
+    // Placeholder stream; every unit swaps in its own before use.
+    replica.idleGenerator =
+        grng::makeGenerator(mc_.generatorId, mc_.seedBase);
+    replica.executor = makeExecutor(mc_.backendId, program, config_,
+                                    replica.idleGenerator.get());
+    replicas_.push_back(std::move(replica));
+}
+
+void
 McEngine::ensureReplicas(std::size_t n)
 {
-    while (replicas_.size() < n) {
-        Replica replica;
-        // Placeholder stream; every unit swaps in its own before use.
-        replica.idleGenerator =
-            grng::makeGenerator(mc_.generatorId, mc_.seedBase);
-        replica.executor =
-            makeExecutor(mc_.backendId, program_, config_,
-                         replica.idleGenerator.get());
-        replicas_.push_back(std::move(replica));
-    }
+    while (replicas_.size() < n)
+        addReplica(program());
 }
 
 template <typename Body>
@@ -97,7 +108,7 @@ McEngine::runUnits(const float *xs, std::size_t count, std::size_t stride,
 {
     const std::size_t samples =
         static_cast<std::size_t>(config_.mcSamples);
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = program().outputDim();
     const std::size_t units = count * samples;
     raw.resize(units * out_dim);
     if (units == 0)
@@ -144,7 +155,7 @@ McEngine::runRoundRange(const float *xs, std::size_t stride,
                         int r_begin, int r_end,
                         std::vector<std::int64_t> &raw)
 {
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = program().outputDim();
     const std::size_t rounds = static_cast<std::size_t>(r_end - r_begin);
     raw.resize(rounds * count * out_dim);
     if (rounds == 0 || count == 0)
@@ -178,18 +189,25 @@ McEngine::runRoundRange(const float *xs, std::size_t stride,
             // r_begin + u is the one the fixed-T run uses for that same
             // round, so surviving images' samples are bit-identical to
             // it regardless of chunking or who else is still active.
-            const std::uint64_t seed =
-                roundSeed(mc_.seedBase,
-                          static_cast<std::uint64_t>(r_begin) + u);
+            const std::uint64_t round =
+                static_cast<std::uint64_t>(r_begin) + u;
             std::int64_t *out = raw.data() + u * count * out_dim;
-            withStream(replica, seed, [&] {
+            auto run_round = [&] {
                 if (indices)
                     replica.executor->runRoundBatchGather(
                         xs, stride, indices, count, out);
                 else
                     replica.executor->runRoundBatch(xs, count, stride,
                                                     out);
-            });
+            };
+            // A cached round's weights are already in the arena; it
+            // draws no eps, so it needs no stream.
+            if (weightCache_ &&
+                replica.executor->bindCacheRound(*weightCache_, round))
+                run_round();
+            else
+                withStream(replica, roundSeed(mc_.seedBase, round),
+                           run_round);
         }
     };
 
@@ -205,8 +223,8 @@ McEngine::reduceProbs(const std::int64_t *raw, std::size_t sample_stride,
                       std::size_t samples, float *probs,
                       float *sample_probs) const
 {
-    const std::size_t out_dim = program_.outputDim();
-    const auto &act = program_.activationFormat;
+    const std::size_t out_dim = program().outputDim();
+    const auto &act = program().activationFormat;
     std::vector<float> logits(out_dim);
     std::fill(probs, probs + out_dim, 0.0f);
     for (std::size_t s = 0; s < samples; ++s) {
@@ -230,7 +248,7 @@ McEngine::classifyBatchImpl(const float *xs, std::size_t count,
                             std::size_t stride, float *probs,
                             float *sample_probs)
 {
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = program().outputDim();
     const std::size_t samples =
         static_cast<std::size_t>(config_.mcSamples);
     std::vector<std::size_t> predictions(count, 0);
@@ -280,7 +298,7 @@ McEngine::classifyBatchDetailed(const float *xs, std::size_t count,
                                 std::size_t stride,
                                 bool keep_sample_probs)
 {
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = program().outputDim();
     const std::size_t samples =
         static_cast<std::size_t>(config_.mcSamples);
     McBatchResult result;
@@ -299,7 +317,7 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
                                 const McAdaptiveOptions &options,
                                 bool keep_sample_probs)
 {
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = program().outputDim();
     const int budget =
         options.budget > 0 ? options.budget : config_.mcSamples;
     VIBNN_ASSERT(budget >= 1, "adaptive MC needs a positive budget");
@@ -341,7 +359,7 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
               "backend (got '" + mc_.backendId + "')");
 
     const int chunk = std::max(options.chunk, 1);
-    const auto &act = program_.activationFormat;
+    const auto &act = program().activationFormat;
     std::vector<stats::SequentialPosteriorTest> tests(count);
     for (auto &test : tests)
         test.reset(out_dim);
@@ -438,7 +456,7 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
 std::size_t
 McEngine::classify(const float *x, float *probs)
 {
-    return classifyBatch(x, 1, program_.inputDim(), probs).front();
+    return classifyBatch(x, 1, program().inputDim(), probs).front();
 }
 
 McResult
@@ -446,15 +464,15 @@ McEngine::classifyDetailed(const float *x)
 {
     // For a one-image batch a PerRound round IS one per-sample pass,
     // and both fan-outs lay the mcSamples raw outputs out row by row.
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = program().outputDim();
     const std::size_t samples =
         static_cast<std::size_t>(config_.mcSamples);
     std::vector<std::int64_t> raw;
     if (mc_.schedule == McSchedule::PerRound)
-        runRoundRange(x, program_.inputDim(), /*indices=*/nullptr, 1, 0,
+        runRoundRange(x, program().inputDim(), /*indices=*/nullptr, 1, 0,
                       config_.mcSamples, raw);
     else
-        runUnits(x, 1, program_.inputDim(), raw);
+        runUnits(x, 1, program().inputDim(), raw);
 
     McResult result;
     result.probs.assign(out_dim, 0.0f);

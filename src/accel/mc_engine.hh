@@ -24,6 +24,14 @@
  *    workers, and intra-pass fan-out underneath it would oversubscribe
  *    them.
  *
+ *    PerRound on a batchedRounds backend also shares its draws: round
+ *    r's weight arena is a pure function of the program, the eps
+ *    generator and roundSeed(seedBase, r), so every engine with the
+ *    same key restores it from one process-wide WeightCache
+ *    (accel/weight_cache.hh) after the first draw, skipping the eps
+ *    stream entirely. The restored arena is the draw byte for byte, so
+ *    the cache is invisible in the outputs.
+ *
  * Determinism is by construction schedule-independent in both modes:
  * a unit's output is a pure function of (input(s), seeded eps stream),
  * so which replica executes it cannot change the result, outputs are
@@ -43,6 +51,7 @@
 
 #include "accel/executor.hh"
 #include "accel/program.hh"
+#include "accel/weight_cache.hh"
 #include "common/thread_pool.hh"
 #include "grng/generator.hh"
 #include "stats/sequential_test.hh"
@@ -245,14 +254,22 @@ class McEngine
     /** Aggregate statistics merged (summed) over all replicas. */
     CycleStats stats() const;
 
-    /** Replicas instantiated so far (grows up to the executor count). */
+    /** Replicas instantiated so far: one from construction on, growing
+     *  up to the executor count. */
     std::size_t replicaCount() const { return replicas_.size(); }
 
     /** Executor parallelism the engine schedules for. */
     std::size_t executorCount() const { return executors_; }
 
+    /** The shared round cache PerRound passes restore from; null on
+     *  PerUnit schedules and backends without batchedRounds. */
+    const WeightCache *weightCache() const { return weightCache_.get(); }
+
     const AcceleratorConfig &config() const { return config_; }
-    const QuantizedProgram &program() const { return program_; }
+    const QuantizedProgram &program() const
+    {
+        return replicas_.front().executor->program();
+    }
 
     /**
      * Seed of the eps stream for (image, sample) under `seed_base` —
@@ -275,6 +292,9 @@ class McEngine
         std::unique_ptr<grng::GaussianGenerator> idleGenerator;
         std::unique_ptr<Executor> executor;
     };
+
+    /** Append one replica running `program`. */
+    void addReplica(const QuantizedProgram &program);
 
     /** Ensure replicas [0, n) exist. */
     void ensureReplicas(std::size_t n);
@@ -308,7 +328,8 @@ class McEngine
      * (r_end - r_begin) x count x outputDim, round-major. Round r is
      * seeded roundSeed(seedBase, r) — the GLOBAL index — so the stream
      * any image sees is independent of chunking, of the partition, and
-     * of which other images remain.
+     * of which other images remain. A round the weight cache already
+     * holds is restored instead and never touches its stream.
      */
     void runRoundRange(const float *xs, std::size_t stride,
                        const std::uint32_t *indices, std::size_t count,
@@ -333,13 +354,13 @@ class McEngine
                                                float *probs,
                                                float *sample_probs);
 
-    QuantizedProgram program_;
     AcceleratorConfig config_;
     McEngineConfig mc_;
     std::size_t executors_;
     /** Private pool when an explicit thread count was requested. */
     std::unique_ptr<ThreadPool> ownPool_;
     std::vector<Replica> replicas_;
+    std::shared_ptr<WeightCache> weightCache_;
 };
 
 } // namespace vibnn::accel

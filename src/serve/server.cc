@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "accel/weight_cache.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
 
@@ -696,6 +697,9 @@ Server::stats() const
         s.health = static_cast<ShardHealth>(shard->health.load());
         s.brownoutPasses = shard->brownoutPasses.load();
         s.retriesObserved = shard->retriesObserved.load();
+        const accel::CycleStats exec = shard->session->stats();
+        s.roundsRestored = exec.roundsRestored;
+        s.roundsDrawn = exec.roundsDrawn;
         aggregate.merge(shard->latency);
         out.requests += s.requests;
         out.images += s.images;
@@ -707,6 +711,7 @@ Server::stats() const
     }
     out.watchdogTrips = watchdogTrips_.load();
     out.faultFires = fault::totalFires();
+    out.weightCacheBytes = accel::WeightCache::totalResidentBytes();
     out.draining = draining_.load();
     {
         std::lock_guard<std::mutex> lock(connMutex_);
@@ -743,6 +748,7 @@ Server::metricsJson() const
     os << ", \"retries_observed\": " << s.retriesObserved;
     os << ", \"watchdog_trips\": " << s.watchdogTrips;
     os << ", \"fault_fires\": " << s.faultFires;
+    os << ", \"weight_cache_bytes\": " << s.weightCacheBytes;
     os << ", \"draining\": " << (s.draining ? 1 : 0);
     // Per-site hit/fire counters of the armed chaos profile; "{}" in
     // every unarmed (production) process.
@@ -772,6 +778,8 @@ Server::metricsJson() const
            << "\"";
         os << ", \"brownout_passes\": " << sh.brownoutPasses;
         os << ", \"retries_observed\": " << sh.retriesObserved;
+        os << ", \"rounds_restored\": " << sh.roundsRestored;
+        os << ", \"rounds_drawn\": " << sh.roundsDrawn;
         os << "}";
     }
     os << "]}";

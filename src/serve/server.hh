@@ -203,6 +203,10 @@ struct ShardStats
     std::uint64_t brownoutPasses = 0;
     /** Requests that arrived stamped as a retry (retryAttempt > 0). */
     std::uint64_t retriesObserved = 0;
+    /** MC rounds whose weights the shared weight-ensemble cache
+     *  supplied, and rounds that drew them from the GRNG. */
+    std::uint64_t roundsRestored = 0;
+    std::uint64_t roundsDrawn = 0;
 };
 
 /** Point-in-time view of the whole server. */
@@ -227,6 +231,10 @@ struct ServerStats
     /** Injected faults fired process-wide (fault::totalFires()) — 0
      *  outside chaos runs. */
     std::uint64_t faultFires = 0;
+    /** Bytes of filled rounds over every live weight-ensemble cache
+     *  in the process (the shards share one cache per program and
+     *  seed, so this is not a per-shard figure). */
+    std::uint64_t weightCacheBytes = 0;
     /** beginDrain() ran: new classifies get ShuttingDown. */
     bool draining = false;
 };

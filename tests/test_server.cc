@@ -650,6 +650,45 @@ TEST(Server, MetricsEndpointReportsServingCounters)
     server->stop();
 }
 
+TEST(Server, MetricsSplitRoundsIntoRestoredAndDrawn)
+{
+    // Both shards share one weight-ensemble cache: the first request
+    // draws its 8 rounds, every later one restores them, whichever
+    // shard serves it.
+    const auto config = smallConfig(8);
+    ServerOptions options;
+    options.shards = 2;
+    options.session = throughputOptions();
+    auto server = startServer(config, options);
+
+    Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect("127.0.0.1", server->port(), error));
+    const auto xs = randomBatch(2, 24, 19);
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(client.classify(xs.data(), 2, 24).ok());
+
+    const ServerStats stats = server->stats();
+    std::uint64_t restored = 0, drawn = 0;
+    for (const auto &shard : stats.shards) {
+        restored += shard.roundsRestored;
+        drawn += shard.roundsDrawn;
+    }
+    EXPECT_EQ(drawn, 8u);
+    EXPECT_EQ(restored, 3u * 8u);
+    // One byte per weight on the 8-bit grid: 24x16 + 16x4 weights.
+    EXPECT_GE(stats.weightCacheBytes, 8u * (24u * 16u + 16u * 4u));
+
+    std::string json;
+    ASSERT_TRUE(client.metrics(json, error)) << error;
+    for (const char *key : {"\"weight_cache_bytes\": ",
+                            "\"rounds_restored\": ", "\"rounds_drawn\": "})
+        EXPECT_NE(json.find(key), std::string::npos)
+            << "metrics JSON missing " << key << "\n"
+            << json;
+    server->stop();
+}
+
 TEST(Server, LatencyHistogramQuantilesLandInTheRightBucket)
 {
     LatencyHistogram hist;

@@ -5,7 +5,7 @@ Both inputs are VIBNN_BENCH_JSON files (a JSON array of flat records,
 see bench/bench_util.hh). Records are matched on their identity fields
 (bench/section/backend/schedule/style/kernel/...) and every matched
 pair with a value for the gated metric (`images_per_s` by default;
---metric selects another, e.g. `rlf_eps_ms` for the GRNG eps-supply
+--metric selects another, e.g. `rlf_eps_mps` for the GRNG eps-supply
 records) is compared: the run fails when a fresh value regresses more
 than --tolerance (default 10%) past its baseline. The gate is
 one-sided and directional: with --direction higher (the default,
