@@ -2,15 +2,19 @@
  * @file
  * SIMD kernel-layer microbenchmark: per-tier throughput of the three
  * hot kernels the batched inference path is built on — the batched
- * fixed-point GEMM (with and without the int16 madd fast path), the
- * fused mu + sigma * eps weight draw, and the double->fixed eps
- * conversion. Every tier compiled into the binary and supported by
- * this CPU gets a row, with the dispatch-selected tier marked; all
- * tiers are ctest-pinned bit-exact, so the only difference between
- * rows is speed. VIBNN_BENCH_JSON=<path> records the table
- * machine-readably (section "kernels").
+ * fixed-point GEMM (the int32 path, and the int16 madd path per shape:
+ * an inDim that is a multiple of 16 and one that is not, each at a
+ * 60-image batch and at one image), the fused mu + sigma * eps weight
+ * draw, the double->fixed eps conversion and the RLF eps kernel. Every
+ * tier compiled into the binary and supported by this CPU gets a row,
+ * with the dispatch-selected tier marked; all tiers are ctest-pinned
+ * bit-exact, so the only difference between rows is speed. Rates are
+ * GMAC/s for the GEMMs and millions of elements per second (*_mps) for
+ * the rest. VIBNN_BENCH_JSON=<path> records both tables
+ * machine-readably (sections "kernels" and "gemm_s16").
  */
 
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -57,6 +61,67 @@ rate(const Body &body)
     return static_cast<double>(iters) / elapsed;
 }
 
+struct GemmShape
+{
+    std::size_t inDim, outDim, images;
+};
+
+/** One GEMM problem with random operands on the given grids, packed
+ *  to int16 as well, with exact-size (unpadded) rows. */
+struct GemmCase
+{
+    GemmShape shape;
+    std::vector<std::int32_t> weights, acts, bias, out;
+    std::vector<std::int16_t> w16, a16;
+    k::GemmArgs args;
+
+    GemmCase(const GemmShape &s, const fixed::FixedPointFormat &act,
+             const fixed::FixedPointFormat &weight)
+        : shape(s), weights(randomRaws(weight, 1, s.outDim * s.inDim)),
+          acts(randomRaws(act, 2, s.images * s.inDim)),
+          bias(randomRaws(weight, 3, s.outDim)),
+          out(s.images * s.outDim), w16(weights.size()),
+          a16(acts.size())
+    {
+        k::scalarKernels().packInt16(weights.data(), w16.data(),
+                                     weights.size());
+        k::scalarKernels().packInt16(acts.data(), a16.data(),
+                                     acts.size());
+        args.ldw = s.inDim;
+        args.lda = s.inDim;
+        args.outNeuronStride = 1;
+        args.outImageStride = s.outDim;
+        args.inDim = s.inDim;
+        args.outDim = s.outDim;
+        args.images = s.images;
+        args.finish.biasShift = act.fracBits();
+        args.finish.outShift = weight.fracBits();
+        args.finish.outMin = static_cast<std::int32_t>(act.rawMin());
+        args.finish.outMax = static_cast<std::int32_t>(act.rawMax());
+    }
+
+    /** GMAC/s of `tier`, with (use16) or without the int16 copies. */
+    double
+    gmacs(const k::KernelOps &tier, bool use16)
+    {
+        args.weights = weights.data();
+        args.acts = acts.data();
+        args.bias = bias.data();
+        args.out = out.data();
+        args.weights16 = use16 ? w16.data() : nullptr;
+        args.acts16 = use16 ? a16.data() : nullptr;
+        const double macs = static_cast<double>(shape.inDim) *
+            shape.outDim * shape.images;
+        return rate([&] { tier.gemmBatch(args); }) * macs / 1e9;
+    }
+
+    std::string
+    label() const
+    {
+        return strfmt("%zux%zu", shape.inDim, shape.outDim);
+    }
+};
+
 } // namespace
 
 int
@@ -69,38 +134,18 @@ main()
                 "(VIBNN_FORCE_SCALAR / VIBNN_KERNELS override)\n\n",
                 k::activeKernelName());
 
-    // The MNIST throughput shape: 200 neurons x 784 inputs over a
-    // 60-image batch — the first (dominant) Dense op of the Table 5
-    // network.
     const fixed::FixedPointFormat act{8, 4}, weight{8, 6}, eps{8, 5};
-    const std::size_t in_dim = 784, out_dim = 200, images = 60;
-    const auto weights = randomRaws(weight, 1, out_dim * in_dim);
-    const auto acts = randomRaws(act, 2, images * in_dim);
-    const auto bias = randomRaws(weight, 3, out_dim);
-    std::vector<std::int16_t> w16(weights.size()), a16(acts.size());
-    k::scalarKernels().packInt16(weights.data(), w16.data(),
-                                 weights.size());
-    k::scalarKernels().packInt16(acts.data(), a16.data(), acts.size());
-    std::vector<std::int32_t> out(images * out_dim);
-
-    k::GemmArgs gemm;
-    gemm.weights = weights.data();
-    gemm.ldw = in_dim;
-    gemm.acts = acts.data();
-    gemm.lda = in_dim;
-    gemm.bias = bias.data();
-    gemm.out = out.data();
-    gemm.outNeuronStride = 1;
-    gemm.outImageStride = out_dim;
-    gemm.inDim = in_dim;
-    gemm.outDim = out_dim;
-    gemm.images = images;
-    gemm.finish.biasShift = act.fracBits();
-    gemm.finish.outShift = weight.fracBits();
-    gemm.finish.outMin = static_cast<std::int32_t>(act.rawMin());
-    gemm.finish.outMax = static_cast<std::int32_t>(act.rawMax());
-    const double macs_per_call = static_cast<double>(in_dim) * out_dim *
-        images;
+    GemmCase s32({784, 200, 60}, act, weight);
+    // s16 madd shapes: the first (dominant) Dense op of the Table 5
+    // MNIST network, 784 inputs x 200 neurons, and the 200 x 200
+    // hidden op, whose inDim is not a multiple of 16 and so runs the
+    // masked tail on every row; each over a 60-image batch and a
+    // single image (the online B = 1 case).
+    const GemmShape s16_shapes[] = {
+        {784, 200, 60}, {200, 200, 60}, {784, 200, 1}, {200, 200, 1}};
+    std::vector<GemmCase> s16;
+    for (const auto &shape : s16_shapes)
+        s16.emplace_back(shape, act, weight);
 
     // Fused sampling + conversion shapes: one 64K block per call.
     const std::size_t n = 1 << 16;
@@ -141,17 +186,16 @@ main()
 
     bench::JsonReport report;
     TextTable table;
-    table.setHeader({"tier", "GEMM s32 GMAC/s", "GEMM s16 GMAC/s",
-                     "sample M/s", "eps conv M/s", "rlf eps M/s"});
+    table.setHeader({"tier", "GEMM s32 GMAC/s", "sample M/s",
+                     "eps conv M/s", "rlf eps M/s"});
+    TextTable s16_table;
+    std::vector<std::string> s16_header = {"tier"};
+    for (const auto &c : s16)
+        s16_header.push_back(
+            strfmt("%s b%zu", c.label().c_str(), c.shape.images));
+    s16_table.setHeader(s16_header);
     for (const auto *tier : k::availableKernels()) {
-        gemm.weights16 = nullptr;
-        gemm.acts16 = nullptr;
-        const double gemm32 =
-            rate([&] { tier->gemmBatch(gemm); }) * macs_per_call / 1e9;
-        gemm.weights16 = w16.data();
-        gemm.acts16 = a16.data();
-        const double gemm16 =
-            rate([&] { tier->gemmBatch(gemm); }) * macs_per_call / 1e9;
+        const double gemm32 = s32.gmacs(*tier, /*use16=*/false);
         const double sample = rate([&] {
             tier->sampleWeights(mu.data(), sigma.data(), eps_raw.data(),
                                 sampled.data(), n, sp);
@@ -174,8 +218,9 @@ main()
 
         const bool active =
             std::string(tier->name) == k::activeKernelName();
-        table.addRow({std::string(tier->name) + (active ? " *" : ""),
-                      strfmt("%.2f", gemm32), strfmt("%.2f", gemm16),
+        const std::string tier_label =
+            std::string(tier->name) + (active ? " *" : "");
+        table.addRow({tier_label, strfmt("%.2f", gemm32),
                       strfmt("%.1f", sample), strfmt("%.1f", conv),
                       strfmt("%.1f", rlf_eps)});
         report.add(bench::JsonRecord()
@@ -184,14 +229,33 @@ main()
                        .field("tier", tier->name)
                        .field("active", active ? 1 : 0)
                        .field("gemm_s32_gmacs", gemm32)
-                       .field("gemm_s16_gmacs", gemm16)
-                       .field("sample_ms", sample)
-                       .field("eps_conv_ms", conv)
-                       .field("rlf_eps_ms", rlf_eps));
+                       .field("sample_mps", sample)
+                       .field("eps_conv_mps", conv)
+                       .field("rlf_eps_mps", rlf_eps));
+
+        std::vector<std::string> s16_row = {tier_label};
+        for (auto &c : s16) {
+            const double gemm16 = c.gmacs(*tier, /*use16=*/true);
+            s16_row.push_back(strfmt("%.2f", gemm16));
+            report.add(bench::JsonRecord()
+                           .field("bench", "kernels")
+                           .field("section", "gemm_s16")
+                           .field("tier", tier->name)
+                           .field("active", active ? 1 : 0)
+                           .field("shape", c.label())
+                           .field("batch", c.shape.images)
+                           .field("gemm_s16_gmacs", gemm16));
+        }
+        s16_table.addRow(s16_row);
     }
+    std::printf("GEMM s32 shape: %s over %zu images, unpadded rows\n",
+                s32.label().c_str(), s32.shape.images);
     table.print();
-    std::printf("\n(* = dispatch-selected; s16 column falls back to the "
-                "s32 path on tiers without a madd kernel)\n");
+    std::printf("\nGEMM s16 (int16 madd) GMAC/s by shape "
+                "(inDim x outDim, batch), unpadded rows:\n");
+    s16_table.print();
+    std::printf("\n(* = dispatch-selected; the s16 table falls back to "
+                "the s32 path on tiers without a madd kernel)\n");
     report.write();
     return 0;
 }

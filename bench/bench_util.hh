@@ -25,8 +25,17 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "accel/kernels/kernels.hh"
 #include "common/env.hh"
 #include "common/table.hh"
+
+// The CMake build type the bench was compiled under (set per bench
+// target); stamped on every JSON record.
+#ifndef VIBNN_BUILD_TYPE
+#define VIBNN_BUILD_TYPE "unknown"
+#endif
 
 namespace vibnn::bench
 {
@@ -126,11 +135,44 @@ class JsonRecord
     std::string body_;
 };
 
+/** The CPU model string the kernel reports, or "unknown". */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
+/** Host name, or "unknown". */
+inline std::string
+hostName()
+{
+    char buf[256] = {};
+    if (gethostname(buf, sizeof buf - 1) != 0 || buf[0] == '\0')
+        return "unknown";
+    return buf;
+}
+
 /**
  * Machine-readable bench output: collects flat records and, when the
  * VIBNN_BENCH_JSON environment variable names a path, writes them
  * there as a JSON array in write(). With the variable unset the
  * report is a cheap no-op, so benches call it unconditionally.
+ *
+ * Every record is stamped with the host that measured it: host name
+ * ("host"), online CPUs ("host_nproc"), CPU model ("host_cpu"), the
+ * dispatched kernel tier ("host_tier") and the build type
+ * ("host_build"). None of these is an identity key, so
+ * tools/bench_compare.py still matches records across hosts; it marks
+ * such pairs CROSS-HOST instead.
  */
 class JsonReport
 {
@@ -140,6 +182,11 @@ class JsonReport
         const char *path = std::getenv("VIBNN_BENCH_JSON");
         if (path && *path)
             path_ = path;
+        if (enabled()) {
+            host_ = hostName();
+            nproc_ = sysconf(_SC_NPROCESSORS_ONLN);
+            cpu_ = cpuModel();
+        }
     }
 
     bool enabled() const { return !path_.empty(); }
@@ -147,8 +194,17 @@ class JsonReport
     void
     add(const JsonRecord &record)
     {
-        if (enabled())
-            records_.push_back(record.json());
+        if (!enabled())
+            return;
+        records_.push_back(JsonRecord(record)
+                               .field("host", host_)
+                               .field("host_nproc",
+                                      static_cast<long long>(nproc_))
+                               .field("host_cpu", cpu_)
+                               .field("host_tier",
+                                      accel::kernels::activeKernelName())
+                               .field("host_build", VIBNN_BUILD_TYPE)
+                               .json());
     }
 
     /** Write the array; returns false (with a notice) on IO failure. */
@@ -176,6 +232,9 @@ class JsonReport
   private:
     std::string path_;
     std::vector<std::string> records_;
+    std::string host_;
+    long nproc_ = 0;
+    std::string cpu_;
 };
 
 /** Wall-clock stopwatch. */

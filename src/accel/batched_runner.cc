@@ -476,8 +476,8 @@ BatchedRunner::runRoundImpl(const float *xs, std::size_t stride,
     const auto act_min = static_cast<std::int32_t>(act.rawMin());
     const auto act_max = static_cast<std::int32_t>(act.rawMax());
     const std::size_t in_dim = program_.inputDim();
-    actA_.assign(count * laneWidth_, 0);
-    actB_.assign(count * laneWidth_, 0);
+    actA_.resize(count * laneWidth_);
+    actB_.resize(count * laneWidth_);
     if (anyInt16_)
         act16_.resize(count * laneWidth_);
     forImageShards(count, [&](std::size_t, std::size_t begin,

@@ -212,7 +212,14 @@ class BatchedRunner : public Executor
     /** GEMM image tile (cache-aware; VIBNN_GEMM_TILE overrides). */
     std::size_t imageTile_ = 16;
     /** Batch-major ping-pong activation buffers (count x laneWidth_),
-     *  int32 on the activation grid, 64-byte-aligned. */
+     *  int32 on the activation grid, 64-byte-aligned. Each round
+     *  resizes them without zeroing, so slots past an op's output
+     *  width keep what earlier ops or rounds left there. Nothing reads
+     *  those slots: every op reads only the inSize values its
+     *  predecessor wrote (validateProgram enforces the chain),
+     *  im2colRaw synthesizes conv padding instead of reading it, the
+     *  GEMM kernels never read past inDim, and the output copy reads
+     *  only the last op's outDim. */
     kernels::AlignedVector<std::int32_t> actA_, actB_;
     /** int16-packed staging of the current op's input activations
      *  (madd fast path only). */

@@ -15,8 +15,8 @@
  *             everywhere, and the definition every other tier must
  *             match bit for bit,
  *   "sse4"    128-bit x86 (SSE4.1),
- *   "avx2"    256-bit x86 (AVX2), with an additional int16 madd GEMM
- *             fast path when the operand formats allow it.
+ *   "avx2"    256-bit x86 (AVX2), with a register-blocked int16 madd
+ *             GEMM micro-kernel when the operand formats allow it.
  *
  * activeKernels() picks the widest tier the running CPU supports once
  * per process; VIBNN_FORCE_SCALAR=1 pins the scalar tier and
@@ -137,8 +137,14 @@ struct GemmArgs
      * Optional int16-packed copies of weights/acts (same strides).
      * Setting BOTH non-null is the caller's guarantee that (a) every
      * weight and activation raw value fits int16 and (b)
-     * inDim * max|w| * max|x| < 2^31, so 32-bit madd partials cannot
-     * overflow. Tiers without an int16 path ignore them.
+     * inDim * max|w| * max|x| < 2^31. Then any sum over a subset of a
+     * row's products fits int32, so the AVX2 tier's madd micro-kernel
+     * (2 weight rows x 4 image rows of int32 accumulators, reduced
+     * with hadd_epi32) is exact without widening. It reads neither
+     * past inDim of a row (the inDim % 16 tail is a masked load of
+     * int16 pairs plus one scalar product for odd inDim) nor the int32
+     * weights/acts, so rows need no padding. Tiers without an int16
+     * path ignore these.
      */
     const std::int16_t *weights16 = nullptr;
     const std::int16_t *acts16 = nullptr;

@@ -5,14 +5,27 @@
  * GEMM runs 32x32->64 multiplies (mul_epi32 over even/odd dword
  * pairs) with int64 accumulators — exact for every admissible format —
  * and a 4-image register tile so one weight load serves four
- * activation rows. When the caller provides int16-packed operands
- * (GemmArgs::weights16/acts16, with the no-overflow guarantee that
- * implies) the inner loop switches to madd_epi16: 16 MACs per
- * instruction with 32-bit pair sums, widened to int64 at reduction.
- * Tail lanes and ineligible formats drop to the shared scalar bodies
- * in kernels_detail.hh, so every path is bit-exact with the scalar
- * tier by construction; integer dot products are order-invariant, so
- * the reordered SIMD accumulation changes nothing.
+ * activation rows; k tails drop to the shared scalar body in
+ * kernels_detail.hh.
+ *
+ * When the caller provides int16-packed operands (GemmArgs::weights16/
+ * acts16) the GEMM runs a register-blocked madd_epi16 micro-kernel
+ * instead: a tile of 2 weight rows x 4 image rows holds 8 int32
+ * accumulators, so each 16-element k-step does 2 weight and 4
+ * activation loads for 8 madds, and the image loop is outermost so the
+ * 4 activation rows stay in L1 while the weights stream past. Image
+ * remainders (images % 4 = C) use 8 / C rows per tile, and a last odd
+ * weight row a 1 x C tile. The inDim % 16 tail loads its int16 pairs
+ * with a dword-masked load and an odd inDim adds its last product as
+ * one scalar term, so the kernel never reads past inDim of a row and
+ * any row stride works. The 8 accumulators reduce with hadd_epi32 into
+ * one register of 8 dot products, all in int32; that is exact because
+ * the weights16 contract bounds every partial sum — a sum over a subset
+ * of the row's products — by inDim * max|w| * max|x| < 2^31.
+ *
+ * Integer dot products are order-invariant, so every path is bit-exact
+ * with the scalar tier by construction, and all of them end in the
+ * shared gemmFinish.
  *
  * Rounding in the quantize kernels reproduces std::round (half away
  * from zero) exactly: truncate, take the exact fractional remainder
@@ -45,18 +58,6 @@ hsum64(__m256i v)
     const __m128i hi = _mm256_extracti128_si256(v, 1);
     const __m128i s = _mm_add_epi64(lo, hi);
     return _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1);
-}
-
-/** Sum 8 int32 lanes into one int64 (each lane widened first, so the
- *  reduction itself cannot overflow). */
-inline std::int64_t
-hsum32to64(__m256i v)
-{
-    const __m256i lo =
-        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
-    const __m256i hi =
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
-    return hsum64(_mm256_add_epi64(lo, hi));
 }
 
 // ------------------------------------------------------------- quantize
@@ -236,58 +237,11 @@ gemmRowS32x1(const std::int32_t *w, const std::int32_t *x,
     return hsum64(acc) + detail::dotTail(w, x, k, n);
 }
 
-/** madd path: one int16 weight row against four int16 activation
- *  rows; the caller's GemmArgs contract makes 32-bit pair-sum
- *  accumulation overflow-free. Tails read the int32 originals. */
-inline void
-gemmRowS16x4(const std::int16_t *w16, const std::int16_t *const x16[4],
-             const std::int32_t *w, const std::int32_t *const x[4],
-             std::size_t n, std::int64_t acc_out[4])
-{
-    __m256i acc[4];
-    for (int i = 0; i < 4; ++i)
-        acc[i] = _mm256_setzero_si256();
-    std::size_t k = 0;
-    for (; k + 16 <= n; k += 16) {
-        const __m256i wv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(w16 + k));
-        for (int i = 0; i < 4; ++i) {
-            const __m256i xv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(x16[i] + k));
-            acc[i] = _mm256_add_epi32(acc[i],
-                                      _mm256_madd_epi16(wv, xv));
-        }
-    }
-    for (int i = 0; i < 4; ++i)
-        acc_out[i] =
-            hsum32to64(acc[i]) + detail::dotTail(w, x[i], k, n);
-}
-
-inline std::int64_t
-gemmRowS16x1(const std::int16_t *w16, const std::int16_t *x16,
-             const std::int32_t *w, const std::int32_t *x,
-             std::size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t k = 0;
-    for (; k + 16 <= n; k += 16) {
-        const __m256i wv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(w16 + k));
-        const __m256i xv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(x16 + k));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(wv, xv));
-    }
-    return hsum32to64(acc) + detail::dotTail(w, x, k, n);
-}
-
 void
-gemmBatchAvx2(const GemmArgs &a)
+gemmS32Avx2(const GemmArgs &a)
 {
-    const bool use16 = a.weights16 != nullptr && a.acts16 != nullptr;
     for (std::size_t o = 0; o < a.outDim; ++o) {
         const std::int32_t *w = a.weights + o * a.ldw;
-        const std::int16_t *w16 =
-            use16 ? a.weights16 + o * a.ldw : nullptr;
         const std::int64_t bias = a.bias[o];
         std::int32_t *out_row = a.out + o * a.outNeuronStride;
 
@@ -297,28 +251,176 @@ gemmBatchAvx2(const GemmArgs &a)
             for (int i = 0; i < 4; ++i)
                 x[i] = a.acts + (b + i) * a.lda;
             std::int64_t acc[4];
-            if (use16) {
-                const std::int16_t *x16[4];
-                for (int i = 0; i < 4; ++i)
-                    x16[i] = a.acts16 + (b + i) * a.lda;
-                gemmRowS16x4(w16, x16, w, x, a.inDim, acc);
-            } else {
-                gemmRowS32x4(w, x, a.inDim, acc);
-            }
+            gemmRowS32x4(w, x, a.inDim, acc);
             for (int i = 0; i < 4; ++i)
                 out_row[(b + i) * a.outImageStride] =
                     gemmFinish(acc[i], bias, a.finish);
         }
         for (; b < a.images; ++b) {
-            const std::int32_t *x = a.acts + b * a.lda;
             const std::int64_t acc =
-                use16 ? gemmRowS16x1(w16, a.acts16 + b * a.lda, w, x,
-                                     a.inDim)
-                      : gemmRowS32x1(w, x, a.inDim);
+                gemmRowS32x1(w, a.acts + b * a.lda, a.inDim);
             out_row[b * a.outImageStride] =
                 gemmFinish(acc, bias, a.finish);
         }
     }
+}
+
+/** How a madd dot product of length n splits: 16-lane blocks over
+ *  [0, main), then the int16 pairs of [main, n) under a dword lane
+ *  mask, then — for odd n — element n - 1 as one scalar product. */
+struct S16Tail
+{
+    std::size_t main = 0;
+    bool pairs = false;
+    __m256i mask = _mm256_setzero_si256();
+    bool odd = false;
+};
+
+inline S16Tail
+s16Tail(std::size_t n)
+{
+    S16Tail t;
+    t.main = n & ~std::size_t{15};
+    const int pairs = static_cast<int>((n - t.main) / 2);
+    t.pairs = pairs > 0;
+    t.mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(pairs),
+                                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    t.odd = (n & 1) != 0;
+    return t;
+}
+
+inline __m256i
+load16(const std::int16_t *p)
+{
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+}
+
+/** Masked load of the tail's int16 pairs; masked-off dwords read as
+ *  zero and are never touched in memory. */
+inline __m256i
+loadTail16(const std::int16_t *p, __m256i mask)
+{
+    return _mm256_maskload_epi32(reinterpret_cast<const int *>(p), mask);
+}
+
+/** Lane i of the result is the sum of v[i]'s eight lanes. */
+inline __m256i
+reduce8(const __m256i v[8])
+{
+    const __m256i h0 = _mm256_hadd_epi32(
+        _mm256_hadd_epi32(v[0], v[1]), _mm256_hadd_epi32(v[2], v[3]));
+    const __m256i h1 = _mm256_hadd_epi32(
+        _mm256_hadd_epi32(v[4], v[5]), _mm256_hadd_epi32(v[6], v[7]));
+    // h0 = [v0..v3 low-half sums | v0..v3 high-half sums], h1 likewise
+    // for v4..v7.
+    return _mm256_add_epi32(_mm256_permute2x128_si256(h0, h1, 0x20),
+                            _mm256_permute2x128_si256(h0, h1, 0x31));
+}
+
+/**
+ * The madd micro-kernel: weight rows [o, o + R) against image rows
+ * [b, b + C) in R * C <= 8 int32 accumulators, each output finished by
+ * gemmFinish. Every k-step loads R weight and C activation vectors for
+ * R * C madds.
+ */
+template <int R, int C>
+inline void
+tileS16(const GemmArgs &a, std::size_t o, std::size_t b,
+        const S16Tail &t)
+{
+    static_assert(R * C <= 8, "8 accumulators per tile");
+    const std::int16_t *w = a.weights16 + o * a.ldw;
+    const std::int16_t *x = a.acts16 + b * a.lda;
+    __m256i acc[8];
+    for (auto &v : acc)
+        v = _mm256_setzero_si256();
+    auto step = [&](const __m256i (&xv)[C], auto &&load_w) {
+        for (int r = 0; r < R; ++r) {
+            const __m256i wv = load_w(w + r * a.ldw);
+            for (int c = 0; c < C; ++c)
+                acc[r * C + c] = _mm256_add_epi32(
+                    acc[r * C + c], _mm256_madd_epi16(wv, xv[c]));
+        }
+    };
+    for (std::size_t k = 0; k < t.main; k += 16) {
+        __m256i xv[C];
+        for (int c = 0; c < C; ++c)
+            xv[c] = load16(x + c * a.lda + k);
+        step(xv, [k](const std::int16_t *p) { return load16(p + k); });
+    }
+    if (t.pairs) {
+        const std::size_t k = t.main;
+        __m256i xv[C];
+        for (int c = 0; c < C; ++c)
+            xv[c] = loadTail16(x + c * a.lda + k, t.mask);
+        step(xv, [k, &t](const std::int16_t *p) {
+            return loadTail16(p + k, t.mask);
+        });
+    }
+
+    alignas(32) std::int32_t dots[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(dots), reduce8(acc));
+    const std::size_t last = a.inDim - 1;
+    for (int r = 0; r < R; ++r) {
+        const std::int64_t bias = a.bias[o + r];
+        std::int32_t *out_row = a.out + (o + r) * a.outNeuronStride;
+        for (int c = 0; c < C; ++c) {
+            std::int64_t dot = dots[r * C + c];
+            if (t.odd)
+                dot += static_cast<std::int64_t>(w[r * a.ldw + last]) *
+                    x[c * a.lda + last];
+            out_row[(b + c) * a.outImageStride] =
+                gemmFinish(dot, bias, a.finish);
+        }
+    }
+}
+
+/** C activation rows from image b against every weight row: R = 8 / C
+ *  rows per tile keeps all 8 accumulators busy, single rows finish. */
+template <int C>
+inline void
+imageBlockS16(const GemmArgs &a, std::size_t b, const S16Tail &t)
+{
+    constexpr int R = 8 / C;
+    std::size_t o = 0;
+    for (; o + R <= a.outDim; o += R)
+        tileS16<R, C>(a, o, b, t);
+    for (; o < a.outDim; ++o)
+        tileS16<1, C>(a, o, b, t);
+}
+
+/** int16 madd GEMM (GemmArgs::weights16 contract): the image loop is
+ *  outermost so each 4-row activation block stays in L1 while the
+ *  weight slab streams past it. */
+void
+gemmS16Avx2(const GemmArgs &a)
+{
+    const S16Tail t = s16Tail(a.inDim);
+    std::size_t b = 0;
+    for (; b + 4 <= a.images; b += 4)
+        imageBlockS16<4>(a, b, t);
+    switch (a.images - b) {
+      case 3:
+        imageBlockS16<3>(a, b, t);
+        break;
+      case 2:
+        imageBlockS16<2>(a, b, t);
+        break;
+      case 1:
+        imageBlockS16<1>(a, b, t);
+        break;
+      default:
+        break;
+    }
+}
+
+void
+gemmBatchAvx2(const GemmArgs &a)
+{
+    if (a.weights16 != nullptr && a.acts16 != nullptr)
+        gemmS16Avx2(a);
+    else
+        gemmS32Avx2(a);
 }
 
 // ------------------------------------------------------ eps generation

@@ -7,13 +7,17 @@
  * and prime sizes that exercise tail lanes, and saturation at the grid
  * bounds; the fused WeightGenerator::sampleBlockFused path against the
  * classic sampleBlock staging path; activation-range saturation of the
- * int32-narrowed batched path; and thread-count invariance (1/2/5
- * runners) plus tile-size invariance of the intra-pass parallel
- * BatchedRunner on synth images.
+ * int32-narrowed batched path; every register-tile residue and tail
+ * shape of the int16 madd micro-kernel on exact-size buffers, plus its
+ * int32 reduction at the madd contract's edge; thread-count invariance
+ * (1/2/5 runners) plus tile-size invariance of the intra-pass parallel
+ * BatchedRunner on synth images; and that rounds on a runner's reused
+ * (unzeroed) activation buffers match a fresh runner.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -384,6 +388,133 @@ TEST(KernelGemm, SaturatesOnActivationBoundsNotInt32)
     }
 }
 
+TEST(KernelGemm, Int16TileResiduesAndTailsBitExactOnExactBuffers)
+{
+    // Every register-tile residue (images % 4, and the 8 / C weight
+    // rows per tile of the image remainder C) against every madd tail
+    // shape (inDim % 16 in {0, 1, 2, 8, 14, 15}). Buffers are exactly
+    // outDim x inDim and images x inDim, with nothing after the last
+    // row, so a tail that reads past inDim trips the sanitizer build.
+    const fixed::FixedPointFormat act{8, 4}, weight{8, 6};
+    DatapathKernel kernel(act, weight, {8, 5});
+    const std::size_t in_dims[] = {1,  2,  8,  14, 15,  16,
+                                   17, 18, 30, 31, 200, 784};
+    const std::size_t out_dims[] = {2, 3, 8, 11};
+    const std::size_t image_counts[] = {1, 2, 3, 4, 5, 6, 7, 9};
+
+    for (const std::size_t in_dim : in_dims) {
+        for (const std::size_t out_dim : out_dims) {
+            for (const std::size_t images : image_counts) {
+                const auto weights =
+                    randomRaws(weight, 41 + in_dim, out_dim * in_dim);
+                const auto acts =
+                    randomRaws(act, 43 + images, images * in_dim);
+                const auto bias = randomRaws(weight, 47, out_dim);
+                std::vector<std::int16_t> w16(weights.size());
+                std::vector<std::int16_t> a16(acts.size());
+                k::scalarKernels().packInt16(weights.data(), w16.data(),
+                                             weights.size());
+                k::scalarKernels().packInt16(acts.data(), a16.data(),
+                                             acts.size());
+
+                k::GemmArgs args;
+                args.weights = weights.data();
+                args.weights16 = w16.data();
+                args.ldw = in_dim;
+                args.acts = acts.data();
+                args.acts16 = a16.data();
+                args.lda = in_dim;
+                args.bias = bias.data();
+                args.inDim = in_dim;
+                args.outDim = out_dim;
+                args.images = images;
+                args.finish.biasShift = act.fracBits();
+                args.finish.outShift = weight.fracBits();
+                args.finish.outMin =
+                    static_cast<std::int32_t>(act.rawMin());
+                args.finish.outMax =
+                    static_cast<std::int32_t>(act.rawMax());
+                args.finish.relu = (in_dim + images) % 2 == 0;
+
+                for (const bool neuron_major : {false, true}) {
+                    args.outNeuronStride = neuron_major ? images : 1;
+                    args.outImageStride = neuron_major ? 1 : out_dim;
+                    std::vector<std::int32_t> expected(out_dim * images);
+                    naiveGemm(args, kernel, expected);
+                    std::vector<std::int32_t> got(expected.size());
+                    args.out = got.data();
+                    for (const auto *tier : k::availableKernels()) {
+                        std::fill(got.begin(), got.end(), -12345);
+                        tier->gemmBatch(args);
+                        ASSERT_EQ(got, expected)
+                            << tier->name << " inDim=" << in_dim
+                            << " outDim=" << out_dim
+                            << " images=" << images
+                            << " neuronMajor=" << neuron_major;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelGemm, Int16ReductionExactAtMaddContractEdge)
+{
+    // 12-bit operands all at max magnitude with one sign pattern, at
+    // the largest inDim BatchedRunner's madd eligibility rule admits
+    // (inDim <= INT32_MAX / (max|w| * max|x|)): every dot product sits
+    // just under 2^31, so an int32 reduction that overflowed anywhere
+    // would show. The finish stage is opened wide (no shifts, int32
+    // bounds) so the output is the dot product itself.
+    const fixed::FixedPointFormat fmt{12, 8};
+    const std::int64_t abs_max = -fmt.rawMin();
+    const std::size_t in_dim =
+        static_cast<std::size_t>(INT32_MAX / (abs_max * abs_max));
+    ASSERT_EQ(in_dim, 511u); // odd, and 511 % 16 == 15: every tail path
+
+    const std::size_t out_dim = 3, images = 7;
+    const auto w_raw = static_cast<std::int32_t>(fmt.rawMin());
+    for (const std::int32_t x_raw :
+         {static_cast<std::int32_t>(fmt.rawMin()),
+          static_cast<std::int32_t>(fmt.rawMax())}) {
+        const std::vector<std::int32_t> weights(out_dim * in_dim, w_raw);
+        const std::vector<std::int32_t> acts(images * in_dim, x_raw);
+        const std::vector<std::int16_t> w16(weights.begin(),
+                                            weights.end());
+        const std::vector<std::int16_t> a16(acts.begin(), acts.end());
+        const std::vector<std::int32_t> bias(out_dim, 0);
+        const std::int64_t dot =
+            static_cast<std::int64_t>(in_dim) * w_raw * x_raw;
+        ASSERT_LT(std::llabs(dot), std::int64_t{1} << 31);
+
+        k::GemmArgs args;
+        args.weights = weights.data();
+        args.weights16 = w16.data();
+        args.ldw = in_dim;
+        args.acts = acts.data();
+        args.acts16 = a16.data();
+        args.lda = in_dim;
+        args.bias = bias.data();
+        args.outNeuronStride = 1;
+        args.outImageStride = out_dim;
+        args.inDim = in_dim;
+        args.outDim = out_dim;
+        args.images = images;
+        args.finish.outMin = INT32_MIN;
+        args.finish.outMax = INT32_MAX;
+        args.finish.relu = false;
+
+        std::vector<std::int32_t> got(out_dim * images);
+        args.out = got.data();
+        for (const auto *tier : k::availableKernels()) {
+            std::fill(got.begin(), got.end(), 0);
+            tier->gemmBatch(args);
+            for (const auto v : got)
+                ASSERT_EQ(v, dot) << tier->name << " x=" << x_raw;
+        }
+    }
+}
+
 TEST(KernelFusedSampling, SampleBlockFusedMatchesStagedSampleBlock)
 {
     // Crossing the 4096-eps ring boundary at a prime stride pins the
@@ -546,6 +677,67 @@ TEST(BatchedRunnerParallel, GemmTileDoesNotChangeResults)
         const auto got =
             roundOutputs(tiled, xs, count, program.inputDim(), 13);
         EXPECT_EQ(got, reference) << "tile=" << tile;
+    }
+}
+
+TEST(BatchedRunnerRounds, ReusedActivationBuffersMatchFreshRunner)
+{
+    // The runner's activation buffers keep whatever earlier rounds left
+    // past each op's output width (they are resized, not zeroed). A
+    // runner that ran a 64-image round, then a 3-image round, then a
+    // gather round must match a fresh runner on each of those rounds —
+    // on programs whose later ops are narrower than the buffer rows.
+    const auto config = smallConfig();
+    Rng mlp_rng(12);
+    bnn::BayesianMlp mlp({24, 16, 4}, mlp_rng, /*rho_init=*/-2.0f);
+    const auto mlp_program = compile(mlp, config);
+
+    nn::ConvNetConfig cnn_cfg;
+    cnn_cfg.inChannels = 1;
+    cnn_cfg.imageHeight = 8;
+    cnn_cfg.imageWidth = 8;
+    cnn_cfg.blocks = {{/*outChannels=*/3, /*kernel=*/3, /*stride=*/1,
+                       /*pad=*/1, /*pool=*/true, /*poolWindow=*/2}};
+    cnn_cfg.denseHidden = {12};
+    cnn_cfg.numClasses = 4;
+    Rng cnn_rng(13);
+    bnn::BayesianConvNet cnn(cnn_cfg, cnn_rng, /*rho_init=*/-2.0f);
+    const auto cnn_program = compile(cnn, config);
+
+    const std::vector<std::uint32_t> gather = {5, 0, 63, 17, 2};
+    for (const auto *program : {&mlp_program, &cnn_program}) {
+        const std::size_t dim = program->inputDim();
+        const std::size_t out_dim = program->outputDim();
+        const auto xs = randomBatch(64, dim, 57);
+
+        // Round r runs on a fresh rlf stream seeded 100 + r.
+        auto run = [&](BatchedRunner &runner, int r) {
+            auto gen = grng::makeGenerator("rlf", 100 + r);
+            runner.setGenerator(gen.get());
+            std::vector<std::int64_t> out;
+            if (r == 0) {
+                out.resize(64 * out_dim);
+                runner.runRoundBatch(xs.data(), 64, dim, out.data());
+            } else if (r == 1) {
+                out.resize(3 * out_dim);
+                runner.runRoundBatch(xs.data() + 40 * dim, 3, dim,
+                                     out.data());
+            } else {
+                out.resize(gather.size() * out_dim);
+                runner.runRoundBatchGather(xs.data(), dim, gather.data(),
+                                           gather.size(), out.data());
+            }
+            return out;
+        };
+
+        auto idle = grng::makeGenerator("rlf", 1);
+        BatchedRunner reused(*program, config, idle.get());
+        for (int r = 0; r < 3; ++r) {
+            const auto got = run(reused, r);
+            BatchedRunner fresh(*program, config, idle.get());
+            EXPECT_EQ(got, run(fresh, r))
+                << "round " << r << " program input dim=" << dim;
+        }
     }
 }
 

@@ -28,6 +28,13 @@ rows the PR 5 acceptance tracks):
 records matching ANY given pair; a baseline record with no fresh
 counterpart is an error under --require-all (a silently skipped
 benchmark would otherwise look like a pass).
+
+Records carry a host fingerprint (host name, CPU count, CPU model,
+kernel tier, build type; see JsonReport in bench/bench_util.hh) outside
+their identity. A compared pair whose fingerprints differ, or that
+lacks one, is printed with a CROSS-HOST mark: its gap may be the
+hosts', not the code's. The mark is informational; it does not change
+what passes or fails.
 """
 
 import argparse
@@ -37,8 +44,10 @@ import sys
 IDENTITY_KEYS = ("bench", "section", "backend", "schedule", "style",
                  "kernel", "tier", "generator", "estimator", "bits", "T",
                  "batch", "requests", "confidence", "budget", "shards",
-                 "offered", "conns", "rate", "profile")
+                 "offered", "conns", "rate", "profile", "shape")
 DEFAULT_METRIC = "images_per_s"
+FINGERPRINT_KEYS = ("host", "host_nproc", "host_cpu", "host_tier",
+                    "host_build")
 
 
 def load(path):
@@ -52,6 +61,19 @@ def load(path):
 def identity(record):
     return tuple((key, record[key]) for key in IDENTITY_KEYS
                  if key in record)
+
+
+def fingerprint(record):
+    """The record's host fingerprint, or None when it has none."""
+    if not all(key in record for key in FINGERPRINT_KEYS):
+        return None
+    return tuple(record[key] for key in FINGERPRINT_KEYS)
+
+
+def cross_host(base, fresh):
+    """True unless both records carry the same host fingerprint."""
+    base_fp = fingerprint(base)
+    return base_fp is None or base_fp != fingerprint(fresh)
 
 
 def main():
@@ -107,6 +129,7 @@ def main():
     fresh = {identity(r): r for r in load(args.fresh) if metric in r}
 
     compared = 0
+    crossed = 0
     failures = []
     missing = []
     for key, base in sorted(baseline.items()):
@@ -135,8 +158,12 @@ def main():
             regressed = fresh_v > ceiling
             bound_note = f"ceiling {ceiling:.1f}"
         verdict = "REGRESSION" if regressed else "ok"
+        host_note = ""
+        if cross_host(base, other):
+            crossed += 1
+            host_note = " CROSS-HOST"
         print(f"{verdict:10s} {label}: baseline {base_v:.1f} -> "
-              f"fresh {fresh_v:.1f} {unit} ({bound_note})")
+              f"fresh {fresh_v:.1f} {unit} ({bound_note}){host_note}")
         if regressed:
             failures.append(label)
 
@@ -147,6 +174,10 @@ def main():
             print(f"  missing: {label}")
         if args.require_all:
             return 1
+
+    if crossed:
+        print(f"\n{crossed} of {compared} compared pair(s) are CROSS-HOST "
+              "(fingerprints differ or are missing)")
 
     if compared == 0:
         if args.allow_unmatched:
