@@ -6,10 +6,15 @@
  * binary, on the paper's 784-200-200-10 MLP over synthetic MNIST —
  * plus the quantization-aware fine-tuning section: accelerator
  * accuracy of the compiled program after post-hoc quantization vs
- * after QAT through the same eq-(15) grids. VIBNN_BENCH_JSON=<path>
- * records the rows machine-readably (sections "training" and "qat").
+ * after QAT through the same eq-(15) grids — and the step section: the
+ * median per-step split of a BnnBatchTrainer minibatch into zeroGrads,
+ * forwardBackward and applyKlAndStep (KL + Adam + plane refresh).
+ * VIBNN_BENCH_JSON=<path> records the rows machine-readably (sections
+ * "training", "step" and "qat").
  */
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -59,6 +64,13 @@ accelAccuracy(const bnn::BayesianMlp &net,
             preds[i] == static_cast<std::size_t>(test.labels[i]);
     return static_cast<double>(correct) /
         static_cast<double>(test.count);
+}
+
+double
+medianMs(std::vector<double> seconds)
+{
+    std::sort(seconds.begin(), seconds.end());
+    return seconds[seconds.size() / 2] * 1e3;
 }
 
 } // namespace
@@ -196,6 +208,63 @@ main()
                     batched_rate / per_sample_rate,
                     (batched_acc - per_sample_acc) * 100.0);
     }
+
+    // ----------------------------------------------- step section
+    // Where one minibatch step's time goes on the active tier: the
+    // BnnBatchTrainer cycle trainBnnBatched runs, timed phase by phase
+    // (single thread, batch 32, minibatches cycling over the set).
+    const std::size_t steps = std::max<std::size_t>(10, scaledCount(60));
+    const std::size_t step_batch = std::min(batch, train.count);
+    std::printf("\nper-step split, %zu steps of batch %zu (%s):\n", steps,
+                step_batch, k::activeKernelName());
+    TextTable st;
+    st.setHeader({"estimator", "zero ms", "fwd+bwd ms", "apply ms"});
+    for (const auto estimator : {bnn::BnnEstimator::LocalReparam,
+                                 bnn::BnnEstimator::DirectWeightSample}) {
+        const char *name =
+            estimator == bnn::BnnEstimator::LocalReparam ? "lrt"
+                                                          : "direct";
+        auto net = freshNet(net_seed);
+        bnn::BnnBatchedTrainConfig cfg;
+        cfg.seed = train_seed;
+        cfg.estimator = estimator;
+        bnn::BnnBatchTrainer engine(net, cfg);
+        std::vector<std::size_t> order(train.count);
+        std::iota(order.begin(), order.end(), 0);
+        std::vector<double> zero_s, fwdbwd_s, apply_s;
+        for (std::size_t s = 0, start = 0; s < steps;
+             ++s, start += step_batch) {
+            if (start + step_batch > train.count)
+                start = 0;
+            bench::Stopwatch zero_clock;
+            engine.zeroGrads();
+            zero_s.push_back(zero_clock.seconds());
+            bench::Stopwatch fwdbwd_clock;
+            engine.forwardBackward(train, order.data() + start,
+                                   step_batch);
+            fwdbwd_s.push_back(fwdbwd_clock.seconds());
+            bench::Stopwatch apply_clock;
+            engine.applyKlAndStep(step_batch, train.count);
+            apply_s.push_back(apply_clock.seconds());
+        }
+        const double zero_ms = medianMs(zero_s);
+        const double fwdbwd_ms = medianMs(fwdbwd_s);
+        const double apply_ms = medianMs(apply_s);
+        st.addRow({name, strfmt("%.3f", zero_ms),
+                   strfmt("%.3f", fwdbwd_ms), strfmt("%.3f", apply_ms)});
+        report.add(bench::JsonRecord()
+                       .field("bench", "bench_training")
+                       .field("section", "step")
+                       .field("style", "step-split")
+                       .field("kernel", k::activeKernelName())
+                       .field("estimator", name)
+                       .field("batch", step_batch)
+                       .field("steps", steps)
+                       .field("zero_ms", zero_ms)
+                       .field("fwdbwd_ms", fwdbwd_ms)
+                       .field("apply_ms", apply_ms));
+    }
+    st.print();
 
     // ------------------------------------------------ QAT section
     // Fine-tune a float-trained net through the eq-(15) grids of an

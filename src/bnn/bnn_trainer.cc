@@ -158,6 +158,7 @@ struct BnnBatchTrainer::Impl
         std::size_t in = 0, out = 0;
         // Derived from (mu, rho) by refreshParams().
         ak::AlignedVector<float> sigmaW, sigmaB;     // softplus(rho)
+        ak::AlignedVector<float> logisticW, logisticB; // logistic(rho)
         ak::AlignedVector<float> sigmaSqW, sigmaSqB; // LRT variance GEMM
         // QAT raw planes (weight grid) + the dequantized bias.
         ak::AlignedVector<std::int32_t> rawMuW, rawSigmaW, rawMuB;
@@ -204,6 +205,8 @@ struct BnnBatchTrainer::Impl
             const std::size_t w = st.out * st.in;
             st.sigmaW.resize(w);
             st.sigmaB.resize(st.out);
+            st.logisticW.resize(w);
+            st.logisticB.resize(st.out);
             if (cfg.estimator == BnnEstimator::LocalReparam) {
                 st.sigmaSqW.resize(w);
                 st.sigmaSqB.resize(st.out);
@@ -297,10 +300,15 @@ struct BnnBatchTrainer::Impl
             const float *rhoW = ls[l].rhoWeight().data().data();
             const float *rhoB = ls[l].rhoBias().data();
             const std::size_t w = st.out * st.in;
+            // sigma feeds the forward and the KL term, logistic (=
+            // dsigma/drho) the backward and the KL gradient: each is
+            // computed once per parameter per step, here.
             for (std::size_t i = 0; i < w; ++i)
-                st.sigmaW[i] = VariationalDense::sigmaOf(rhoW[i]);
+                nn::softplusAndLogistic(rhoW[i], st.sigmaW[i],
+                                        st.logisticW[i]);
             for (std::size_t i = 0; i < st.out; ++i)
-                st.sigmaB[i] = VariationalDense::sigmaOf(rhoB[i]);
+                nn::softplusAndLogistic(rhoB[i], st.sigmaB[i],
+                                        st.logisticB[i]);
             if (cfg.estimator == BnnEstimator::LocalReparam) {
                 for (std::size_t i = 0; i < w; ++i)
                     st.sigmaSqW[i] = st.sigmaW[i] * st.sigmaW[i];
@@ -544,8 +552,6 @@ struct BnnBatchTrainer::Impl
             VariationalGradients &g = grads[l];
             const float *x = inputOf(l);
             const std::size_t w = st.out * st.in;
-            const float *rhoW = layer.rhoWeight().data().data();
-            const float *rhoB = layer.rhoBias().data();
 
             if (cfg.estimator == BnnEstimator::LocalReparam) {
                 for (std::size_t t = 0; t < batch * st.out; ++t)
@@ -595,10 +601,10 @@ struct BnnBatchTrainer::Impl
                 float *grhoW = g.rhoWeight.data().data();
                 for (std::size_t i = 0; i < w; ++i)
                     grhoW[i] += st.gw[i] * 2.0f * st.sigmaW[i] *
-                        nn::logistic(rhoW[i]);
+                        st.logisticW[i];
                 for (std::size_t i = 0; i < st.out; ++i)
                     g.rhoBias[i] += st.gbScratch[i] * 2.0f *
-                        st.sigmaB[i] * nn::logistic(rhoB[i]);
+                        st.sigmaB[i] * st.logisticB[i];
 
                 if (l > 0) {
                     ak::GemmF32Args da;
@@ -669,14 +675,13 @@ struct BnnBatchTrainer::Impl
                     // Straight-through in QAT: the quantizers pass the
                     // gradient to the underlying mu/rho unchanged.
                     gmuW[i] += st.gw[i];
-                    grhoW[i] += st.gw[i] * st.epsW[i] *
-                        nn::logistic(rhoW[i]);
+                    grhoW[i] += st.gw[i] * st.epsW[i] * st.logisticW[i];
                 }
                 for (std::size_t i = 0; i < st.out; ++i) {
                     g.muBias[i] += st.gbScratch[i];
                     if (!cfg.quantizeAware)
                         g.rhoBias[i] += st.gbScratch[i] * st.epsB[i] *
-                            nn::logistic(rhoB[i]);
+                            st.logisticB[i];
                     // QAT: the datapath bias is deterministic (mu
                     // only), so rhoBias sees no data gradient.
                 }
@@ -762,11 +767,34 @@ BnnBatchTrainer::applyKlAndStep(std::size_t batch,
     Impl &im = *impl_;
     const float kl_scale = im.cfg.klWeight * static_cast<float>(batch) /
         static_cast<float>(dataset_size);
+    // The KL term off the cached sigma/logistic planes: the same
+    // per-element formula, operands and summation order (per layer,
+    // weights then biases, layer sums in layer order) as
+    // VariationalDense::klValueAndGrad, without recomputing softplus
+    // and logistic.
+    const KlPrior prior(im.cfg.priorSigma, kl_scale);
     double kl = 0.0;
     const auto &ls = im.net.layers();
-    for (std::size_t l = 0; l < ls.size(); ++l)
-        kl += ls[l].klValueAndGrad(im.cfg.priorSigma, kl_scale,
-                                   im.grads[l]);
+    for (std::size_t l = 0; l < ls.size(); ++l) {
+        const Impl::Layer &st = im.layers[l];
+        VariationalGradients &g = im.grads[l];
+        const float *muW = ls[l].muWeight().data().data();
+        const float *muB = ls[l].muBias().data();
+        float *gmuW = g.muWeight.data().data();
+        float *grhoW = g.rhoWeight.data().data();
+        double layer_kl = 0.0;
+        for (std::size_t i = 0; i < st.out * st.in; ++i) {
+            layer_kl += prior.value(muW[i], st.sigmaW[i]);
+            prior.grad(muW[i], st.sigmaW[i], st.logisticW[i], gmuW[i],
+                       grhoW[i]);
+        }
+        for (std::size_t i = 0; i < st.out; ++i) {
+            layer_kl += prior.value(muB[i], st.sigmaB[i]);
+            prior.grad(muB[i], st.sigmaB[i], st.logisticB[i],
+                       g.muBias[i], g.rhoBias[i]);
+        }
+        kl += layer_kl;
+    }
 
     const float inv = 1.0f / static_cast<float>(batch);
     im.opt.beginStep();

@@ -19,8 +19,9 @@
  *    per minibatch from the splittable Philox stream (drawn serially
  *    up front, then consumed by GEMMs sharded over disjoint rows — so
  *    results are bit-identical for any ThreadPool partition, the PR 6
- *    contract), the KL term is a single fused pass per layer, and the
- *    Adam step walks the layers' own storage. The same engine hosts
+ *    contract), the KL term is one pass per layer over the trainer's
+ *    cached sigma and logistic planes, and the Adam step walks the
+ *    layers' own storage. The same engine hosts
  *    quantization-aware fine-tuning: forward through the eq-(15)
  *    fixed-point grids (raw-domain weight draws via the integer
  *    sampleWeights kernel, floor-quantized activations) with
@@ -165,9 +166,16 @@ class BnnBatchTrainer
     BnnBatchTrainer(BayesianMlp &net, const BnnBatchedTrainConfig &config);
     ~BnnBatchTrainer();
 
-    /** Recompute the derived parameter planes (sigma, sigma^2, QAT
-     *  raw tensors) from the net's current (mu, rho). Called by
-     *  applyKlAndStep; call manually after external param edits. */
+    /**
+     * Recompute the derived parameter planes from the net's current
+     * (mu, rho): sigma = softplus(rho) and logistic(rho) per weight
+     * and bias (one shared exp per element), sigma^2 for the LRT
+     * variance GEMM, and the QAT raw tensors. The forward, the backward
+     * and applyKlAndStep's KL term all read these planes instead of
+     * rho. Called by applyKlAndStep; call manually after external param
+     * edits — until then the next step (KL term included) sees the old
+     * values.
+     */
     void refreshParams();
 
     void zeroGrads();
@@ -186,9 +194,11 @@ class BnnBatchTrainer
                        const std::size_t *indices, std::size_t batch);
 
     /** Add the KL term (value returned, gradients scaled by
-     *  klWeight * batch / datasetSize), then step every layer's
-     *  storage in place (gradScale 1/batch) and refresh the derived
-     *  planes. */
+     *  klWeight * batch / datasetSize) from mu and the cached sigma and
+     *  logistic planes — bit-identical to summing
+     *  VariationalDense::klValueAndGrad over the layers — then step
+     *  every layer's storage in place (gradScale 1/batch) and refresh
+     *  the derived planes. */
     double applyKlAndStep(std::size_t batch, std::size_t dataset_size);
 
     /** Accumulated gradients (pre-KL until applyKlAndStep). */

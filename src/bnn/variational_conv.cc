@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "bnn/variational_dense.hh"
 #include "nn/activations.hh"
 
 namespace vibnn::bnn
@@ -251,22 +252,14 @@ VariationalConv2d::lrtBackward(const float *dy,
 double
 VariationalConv2d::klDivergence(float prior_sigma) const
 {
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
+    const KlPrior prior(prior_sigma);
     double kl = 0.0;
-
-    auto accumulate = [&](float mu, float rho) {
-        const double s = sigmaOf(rho);
-        kl += log_p - std::log(s) +
-            (s * s + static_cast<double>(mu) * mu) / (2.0 * p2) - 0.5;
-    };
-
     const auto &mw = muWeight_.data();
     const auto &rw = rhoWeight_.data();
     for (std::size_t i = 0; i < mw.size(); ++i)
-        accumulate(mw[i], rw[i]);
+        kl += prior.value(mw[i], sigmaOf(rw[i]));
     for (std::size_t i = 0; i < muBias_.size(); ++i)
-        accumulate(muBias_[i], rhoBias_[i]);
+        kl += prior.value(muBias_[i], sigmaOf(rhoBias_[i]));
     return kl;
 }
 
@@ -274,12 +267,11 @@ void
 VariationalConv2d::klBackward(float prior_sigma, float scale,
                               VariationalConvGradients &grads) const
 {
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
-
+    const KlPrior prior(prior_sigma, scale);
     auto grad_pair = [&](float mu, float rho, float &gmu, float &grho) {
-        const float s = sigmaOf(rho);
-        gmu += scale * mu * inv_p2;
-        grho += scale * (s * inv_p2 - 1.0f / s) * nn::logistic(rho);
+        float s, lg;
+        nn::softplusAndLogistic(rho, s, lg);
+        prior.grad(mu, s, lg, gmu, grho);
     };
 
     const auto &mw = muWeight_.data();

@@ -91,10 +91,13 @@ VariationalDense::sampleBackward(const float *x, const float *dy,
         for (std::size_t c = 0; c < cols; ++c) {
             const float dw = g * x[c];
             gmu[c] += dw;
-            grho[c] += dw * er[c] * nn::logistic(rho[c]);
             if (dx) {
-                const float w = mu[c] + sigmaOf(rho[c]) * er[c];
-                dx[c] += w * g;
+                float s, lg;
+                nn::softplusAndLogistic(rho[c], s, lg);
+                grho[c] += dw * er[c] * lg;
+                dx[c] += (mu[c] + s * er[c]) * g;
+            } else {
+                grho[c] += dw * er[c] * nn::logistic(rho[c]);
             }
         }
     }
@@ -151,16 +154,16 @@ VariationalDense::lrtBackward(const float *x, const float *dy,
 
         grads.muBias[r] += g;
         {
-            const float sb = sigmaOf(rhoBias_[r]);
-            grads.rhoBias[r] +=
-                dvar * 2.0f * sb * nn::logistic(rhoBias_[r]);
+            float sb, lb;
+            nn::softplusAndLogistic(rhoBias_[r], sb, lb);
+            grads.rhoBias[r] += dvar * 2.0f * sb * lb;
         }
 
         for (std::size_t c = 0; c < cols; ++c) {
             gmu[c] += g * x[c];
-            const float s = sigmaOf(rho[c]);
-            grho[c] += dvar * 2.0f * s * scratch.inputSquared[c] *
-                nn::logistic(rho[c]);
+            float s, lg;
+            nn::softplusAndLogistic(rho[c], s, lg);
+            grho[c] += dvar * 2.0f * s * scratch.inputSquared[c] * lg;
             if (dx) {
                 dx[c] += g * mu[c] +
                     dvar * s * s * 2.0f * x[c];
@@ -169,27 +172,40 @@ VariationalDense::lrtBackward(const float *x, const float *dy,
     }
 }
 
+namespace
+{
+
+/** fn(mu, rho, gmu, grho) over the layer's weights, then its biases —
+ *  the order every KL sum runs in. */
+template <typename Fn>
+void
+forEachParam(const VariationalDense &layer, VariationalGradients &grads,
+             Fn &&fn)
+{
+    const auto &mw = layer.muWeight().data();
+    const auto &rw = layer.rhoWeight().data();
+    auto &gm = grads.muWeight.data();
+    auto &gr = grads.rhoWeight.data();
+    for (std::size_t i = 0; i < mw.size(); ++i)
+        fn(mw[i], rw[i], gm[i], gr[i]);
+    for (std::size_t i = 0; i < layer.muBias().size(); ++i)
+        fn(layer.muBias()[i], layer.rhoBias()[i], grads.muBias[i],
+           grads.rhoBias[i]);
+}
+
+} // namespace
+
 double
 VariationalDense::klDivergence(float prior_sigma) const
 {
-    // KL(N(mu, s^2) || N(0, p^2)) =
-    //   ln(p/s) + (s^2 + mu^2) / (2 p^2) - 1/2, summed elementwise.
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
+    const KlPrior prior(prior_sigma);
     double kl = 0.0;
-
-    auto accumulate = [&](float mu, float rho) {
-        const double s = sigmaOf(rho);
-        kl += log_p - std::log(s) +
-            (s * s + static_cast<double>(mu) * mu) / (2.0 * p2) - 0.5;
-    };
-
     const auto &mw = muWeight_.data();
     const auto &rw = rhoWeight_.data();
     for (std::size_t i = 0; i < mw.size(); ++i)
-        accumulate(mw[i], rw[i]);
+        kl += prior.value(mw[i], sigmaOf(rw[i]));
     for (std::size_t i = 0; i < muBias_.size(); ++i)
-        accumulate(muBias_[i], rhoBias_[i]);
+        kl += prior.value(muBias_[i], sigmaOf(rhoBias_[i]));
     return kl;
 }
 
@@ -197,55 +213,28 @@ void
 VariationalDense::klBackward(float prior_sigma, float scale,
                              VariationalGradients &grads) const
 {
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
-
-    auto grad_pair = [&](float mu, float rho, float &gmu, float &grho) {
-        const float s = sigmaOf(rho);
-        // dKL/dmu = mu / p^2 ; dKL/dsigma = sigma/p^2 - 1/sigma.
-        gmu += scale * mu * inv_p2;
-        grho += scale * (s * inv_p2 - 1.0f / s) * nn::logistic(rho);
-    };
-
-    const auto &mw = muWeight_.data();
-    const auto &rw = rhoWeight_.data();
-    auto &gm = grads.muWeight.data();
-    auto &gr = grads.rhoWeight.data();
-    for (std::size_t i = 0; i < mw.size(); ++i)
-        grad_pair(mw[i], rw[i], gm[i], gr[i]);
-    for (std::size_t i = 0; i < muBias_.size(); ++i)
-        grad_pair(muBias_[i], rhoBias_[i], grads.muBias[i],
-                  grads.rhoBias[i]);
+    const KlPrior prior(prior_sigma, scale);
+    forEachParam(*this, grads,
+                 [&](float mu, float rho, float &gmu, float &grho) {
+                     float s, lg;
+                     nn::softplusAndLogistic(rho, s, lg);
+                     prior.grad(mu, s, lg, gmu, grho);
+                 });
 }
 
 double
 VariationalDense::klValueAndGrad(float prior_sigma, float scale,
                                  VariationalGradients &grads) const
 {
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
+    const KlPrior prior(prior_sigma, scale);
     double kl = 0.0;
-
-    auto fused = [&](float mu, float rho, float &gmu, float &grho) {
-        const float s = sigmaOf(rho);
-        kl += log_p - std::log(static_cast<double>(s)) +
-            (static_cast<double>(s) * s +
-             static_cast<double>(mu) * mu) /
-                (2.0 * p2) -
-            0.5;
-        gmu += scale * mu * inv_p2;
-        grho += scale * (s * inv_p2 - 1.0f / s) * nn::logistic(rho);
-    };
-
-    const auto &mw = muWeight_.data();
-    const auto &rw = rhoWeight_.data();
-    auto &gm = grads.muWeight.data();
-    auto &gr = grads.rhoWeight.data();
-    for (std::size_t i = 0; i < mw.size(); ++i)
-        fused(mw[i], rw[i], gm[i], gr[i]);
-    for (std::size_t i = 0; i < muBias_.size(); ++i)
-        fused(muBias_[i], rhoBias_[i], grads.muBias[i],
-              grads.rhoBias[i]);
+    forEachParam(*this, grads,
+                 [&](float mu, float rho, float &gmu, float &grho) {
+                     float s, lg;
+                     nn::softplusAndLogistic(rho, s, lg);
+                     kl += prior.value(mu, s);
+                     prior.grad(mu, s, lg, gmu, grho);
+                 });
     return kl;
 }
 

@@ -26,6 +26,7 @@
 #ifndef VIBNN_BNN_VARIATIONAL_DENSE_HH
 #define VIBNN_BNN_VARIATIONAL_DENSE_HH
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -34,6 +35,47 @@
 
 namespace vibnn::bnn
 {
+
+/**
+ * Closed-form KL(N(mu, s^2) || N(0, p^2)) = ln(p/s) + (s^2 + mu^2) /
+ * (2 p^2) - 1/2 of one parameter, and its gradient. The one place the
+ * formula lives: the variational layers' KL methods and
+ * BnnBatchTrainer (which passes its cached sigma and logistic planes)
+ * all evaluate it here, so they agree bit for bit.
+ */
+struct KlPrior
+{
+    /** @param scale Multiplier on every accumulated gradient. */
+    explicit KlPrior(float prior_sigma, float scale = 1.0f)
+        : p2(static_cast<double>(prior_sigma) * prior_sigma),
+          logP(std::log(static_cast<double>(prior_sigma))),
+          invP2(1.0f / (prior_sigma * prior_sigma)), scale(scale)
+    {
+    }
+
+    /** KL term of one parameter with posterior mean mu, std-dev s. */
+    double
+    value(float mu, float s) const
+    {
+        return logP - std::log(static_cast<double>(s)) +
+            (static_cast<double>(s) * s + static_cast<double>(mu) * mu) /
+                (2.0 * p2) -
+            0.5;
+    }
+
+    /** Accumulate scale * dKL/dmu and scale * dKL/drho, where
+     *  lg = logistic(rho) = dsigma/drho. */
+    void
+    grad(float mu, float s, float lg, float &gmu, float &grho) const
+    {
+        // dKL/dmu = mu / p^2 ; dKL/dsigma = sigma/p^2 - 1/sigma.
+        gmu += scale * mu * invP2;
+        grho += scale * (s * invP2 - 1.0f / s) * lg;
+    }
+
+    double p2, logP;
+    float invP2, scale;
+};
 
 /** Gradient buffers for a variational layer. */
 struct VariationalGradients
@@ -132,7 +174,7 @@ class VariationalDense
                     VariationalGradients &grads) const;
 
     /** Fused klDivergence + klBackward: one pass over the parameters
-     *  (softplus evaluated once per element instead of twice).
+     *  (softplus and logistic share one exp per element).
      *  Bit-identical to calling the two separately. */
     double klValueAndGrad(float prior_sigma, float scale,
                           VariationalGradients &grads) const;

@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "bnn/variational_dense.hh"
+
 namespace vibnn::bnn
 {
 
@@ -54,14 +56,10 @@ VariationalMatrix::accumulateSampleGrad(const nn::Matrix &dw,
 double
 VariationalMatrix::klDivergence(float prior_sigma) const
 {
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
+    const KlPrior prior(prior_sigma);
     double kl = 0.0;
-    for (std::size_t i = 0; i < mu_.size(); ++i) {
-        const double s = nn::softplus(rho_.data()[i]);
-        const double m = mu_.data()[i];
-        kl += log_p - std::log(s) + (s * s + m * m) / (2.0 * p2) - 0.5;
-    }
+    for (std::size_t i = 0; i < mu_.size(); ++i)
+        kl += prior.value(mu_.data()[i], nn::softplus(rho_.data()[i]));
     return kl;
 }
 
@@ -69,12 +67,11 @@ void
 VariationalMatrix::klBackward(float prior_sigma, float scale,
                               nn::Matrix &g_mu, nn::Matrix &g_rho) const
 {
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
+    const KlPrior prior(prior_sigma, scale);
     for (std::size_t i = 0; i < mu_.size(); ++i) {
-        const float s = nn::softplus(rho_.data()[i]);
-        g_mu.data()[i] += scale * mu_.data()[i] * inv_p2;
-        g_rho.data()[i] += scale * (s * inv_p2 - 1.0f / s) *
-            nn::logistic(rho_.data()[i]);
+        float s, lg;
+        nn::softplusAndLogistic(rho_.data()[i], s, lg);
+        prior.grad(mu_.data()[i], s, lg, g_mu.data()[i], g_rho.data()[i]);
     }
 }
 

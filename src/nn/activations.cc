@@ -60,4 +60,18 @@ logistic(float x)
     return z / (1.0f + z);
 }
 
+void
+softplusAndLogistic(float x, float &s, float &lg)
+{
+    if (x < 0.0f) {
+        // The x < 0 branches of softplus and logistic, one exp shared.
+        const float z = std::exp(x);
+        s = x < -20.0f ? z : std::log1p(z);
+        lg = z / (1.0f + z);
+        return;
+    }
+    s = softplus(x);
+    lg = logistic(x);
+}
+
 } // namespace vibnn::nn

@@ -29,6 +29,13 @@ float softplus(float x);
 /** d softplus / dx = logistic(x). */
 float logistic(float x);
 
+/**
+ * s = softplus(x) and lg = logistic(x), bit-identical to the two calls
+ * above. For x < 0 both take exp(x), so this shares that one exp; the
+ * variational layers' rho sits there (sigma = softplus(rho) is small).
+ */
+void softplusAndLogistic(float x, float &s, float &lg);
+
 } // namespace vibnn::nn
 
 #endif // VIBNN_NN_ACTIVATIONS_HH

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.hh"
 #include "nn/activations.hh"
@@ -108,6 +112,60 @@ TEST(Activations, SoftplusAndLogistic)
         const float numeric = (softplus(x + h) - softplus(x - h)) /
             (2.0f * h);
         EXPECT_NEAR(logistic(x), numeric, 1e-3f);
+    }
+}
+
+TEST(Activations, SoftplusAndLogisticHelperBitIdentical)
+{
+    // The shared-exp helper must return exactly softplus(x) and
+    // logistic(x): trainers swap one for the other and pin bit-identical
+    // trajectories.
+    std::size_t checked = 0, mismatched = 0;
+    float first_bad = 0.0f;
+    auto check = [&](float x) {
+        float s, lg;
+        softplusAndLogistic(x, s, lg);
+        ++checked;
+        if (std::bit_cast<std::uint32_t>(s) !=
+                std::bit_cast<std::uint32_t>(softplus(x)) ||
+            std::bit_cast<std::uint32_t>(lg) !=
+                std::bit_cast<std::uint32_t>(logistic(x))) {
+            if (mismatched++ == 0)
+                first_bad = x;
+        }
+    };
+
+    // Dense sweep: every 1021st float bit pattern in [-30, 30], both
+    // signs, plus the end points.
+    const std::uint32_t top = std::bit_cast<std::uint32_t>(30.0f);
+    for (std::uint32_t bits = 0; bits <= top; bits += 1021) {
+        check(std::bit_cast<float>(bits));
+        check(std::bit_cast<float>(bits | 0x80000000u));
+    }
+    check(30.0f);
+    check(-30.0f);
+
+    // Signed zeros, the +-20 branch points and their neighbours,
+    // subnormals, the finite extremes and infinities.
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const float x :
+         {0.0f, -0.0f, 20.0f, -20.0f, std::nextafter(20.0f, inf),
+          std::nextafter(20.0f, 0.0f), std::nextafter(-20.0f, -inf),
+          std::nextafter(-20.0f, 0.0f), FLT_TRUE_MIN, -FLT_TRUE_MIN,
+          std::nextafter(FLT_MIN, 0.0f), -std::nextafter(FLT_MIN, 0.0f),
+          FLT_MIN, -FLT_MIN, FLT_MAX, -FLT_MAX, inf, -inf})
+        check(x);
+    EXPECT_EQ(mismatched, 0u)
+        << "of " << checked << "; first at x = " << first_bad;
+    EXPECT_GT(checked, 2000000u);
+
+    // NaN in, NaN out of both.
+    for (const float nan : {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN()}) {
+        float s = 0.0f, lg = 0.0f;
+        softplusAndLogistic(nan, s, lg);
+        EXPECT_TRUE(std::isnan(s));
+        EXPECT_TRUE(std::isnan(lg));
     }
 }
 

@@ -6,9 +6,10 @@
  * against the per-sample reference trainer, bit-identity of batched
  * training across thread counts and kernel tiers, the in-place
  * segmented Adam step against the historical gather/step/scatter
- * reference, pool-invariance of the parallel evaluator, and the
- * quantization-aware fine-tuning accuracy pin against post-hoc
- * quantization on the compiled accelerator program.
+ * reference, the plane-fed KL step against the step that recomputed
+ * softplus and logistic from rho, pool-invariance of the parallel
+ * evaluator, and the quantization-aware fine-tuning accuracy pin
+ * against post-hoc quantization on the compiled accelerator program.
  */
 
 #include <gtest/gtest.h>
@@ -351,6 +352,140 @@ TEST(TrainBnn, InPlaceAdamMatchesGatherScatterReference)
 
     EXPECT_EQ(hist.trainLoss, refLoss);
     EXPECT_TRUE(bitsEqual(flatParams(netA), flatParams(netB)));
+}
+
+namespace
+{
+
+/** Per-step losses and KL values plus the final params of one run. */
+struct StepTrace
+{
+    std::vector<double> loss, kl;
+    std::vector<float> params;
+};
+
+/**
+ * Two epochs of BnnBatchTrainer steps on a 26-image set in minibatches
+ * of 8 (a ragged 2-image tail). `legacy` replaces applyKlAndStep with
+ * the step as it was before the KL term read the trainer's cached
+ * sigma/logistic planes, reproduced verbatim from outside the engine:
+ * VariationalDense::klValueAndGrad per layer (softplus and logistic
+ * recomputed from rho), the segmented Adam sweep, then a refresh of the
+ * derived planes. `split` accumulates each minibatch as two
+ * forwardBackward calls before one step. Between the epochs both runs
+ * edit the net's (mu, rho) from outside and call refreshParams() — the
+ * contract the KL term now depends on.
+ */
+StepTrace
+runSteps(bnn::BnnBatchedTrainConfig cfg, bool legacy, bool split)
+{
+    const auto blobs = makeBlobs(26, 7, 3, 131);
+    const auto data = blobs.view();
+    Rng init(37);
+    bnn::BayesianMlp net({7, 9, 5, 3}, init, -3.0f);
+    cfg.batchSize = 8;
+    cfg.seed = 41;
+    bnn::BnnBatchTrainer engine(net, cfg);
+
+    nn::AdamOptimizer opt(cfg.learningRate);
+    opt.ensureState(net.paramCount());
+    std::vector<bnn::VariationalGradients> grads;
+    auto legacyStep = [&](std::size_t batch) {
+        grads = engine.gradients();
+        const float kl_scale = cfg.klWeight * static_cast<float>(batch) /
+            static_cast<float>(data.count);
+        double kl = 0.0;
+        const auto &ls = net.layers();
+        for (std::size_t l = 0; l < ls.size(); ++l)
+            kl += ls[l].klValueAndGrad(cfg.priorSigma, kl_scale,
+                                       grads[l]);
+        const float inv = 1.0f / static_cast<float>(batch);
+        opt.beginStep();
+        std::size_t offset = 0;
+        for (const auto &seg : net.paramSegments(grads)) {
+            opt.stepRange(seg.params, seg.grads, seg.count, offset, inv);
+            offset += seg.count;
+        }
+        engine.refreshParams();
+        return kl;
+    };
+
+    StepTrace trace;
+    Rng rng(cfg.seed);
+    std::vector<std::size_t> order(data.count);
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+        if (epoch == 1) {
+            for (auto &layer : net.layers()) {
+                layer.rhoWeight().data()[1] += 0.75f;
+                layer.muWeight().data()[2] -= 0.25f;
+                layer.rhoBias().back() -= 0.5f;
+            }
+            engine.refreshParams();
+        }
+        rng.shuffle(order);
+        for (std::size_t start = 0; start < data.count;
+             start += cfg.batchSize) {
+            const std::size_t batch =
+                std::min(cfg.batchSize, data.count - start);
+            const std::size_t *idx = order.data() + start;
+            engine.zeroGrads();
+            double loss;
+            if (split) {
+                const std::size_t half = batch / 2;
+                loss = engine.forwardBackward(data, idx, half);
+                loss += engine.forwardBackward(data, idx + half,
+                                               batch - half);
+            } else {
+                loss = engine.forwardBackward(data, idx, batch);
+            }
+            trace.loss.push_back(loss);
+            trace.kl.push_back(legacy
+                                   ? legacyStep(batch)
+                                   : engine.applyKlAndStep(batch,
+                                                           data.count));
+        }
+    }
+    trace.params = flatParams(net);
+    return trace;
+}
+
+void
+expectStepMatchesLegacy(const bnn::BnnBatchedTrainConfig &cfg)
+{
+    for (const bool split : {false, true}) {
+        const StepTrace step = runSteps(cfg, /*legacy=*/false, split);
+        const StepTrace ref = runSteps(cfg, /*legacy=*/true, split);
+        ASSERT_EQ(step.loss.size(), 8u);
+        EXPECT_EQ(step.loss, ref.loss) << "split=" << split;
+        EXPECT_EQ(step.kl, ref.kl) << "split=" << split;
+        EXPECT_TRUE(bitsEqual(step.params, ref.params))
+            << "split=" << split;
+    }
+}
+
+} // namespace
+
+TEST(BatchedTrainer, PlaneStepMatchesLegacyStepLocalReparam)
+{
+    bnn::BnnBatchedTrainConfig cfg;
+    cfg.estimator = bnn::BnnEstimator::LocalReparam;
+    expectStepMatchesLegacy(cfg);
+}
+
+TEST(BatchedTrainer, PlaneStepMatchesLegacyStepDirectSample)
+{
+    bnn::BnnBatchedTrainConfig cfg;
+    cfg.estimator = bnn::BnnEstimator::DirectWeightSample;
+    expectStepMatchesLegacy(cfg);
+}
+
+TEST(BatchedTrainer, PlaneStepMatchesLegacyStepQat)
+{
+    bnn::BnnBatchedTrainConfig cfg;
+    cfg.estimator = bnn::BnnEstimator::DirectWeightSample;
+    cfg.quantizeAware = true;
+    expectStepMatchesLegacy(cfg);
 }
 
 TEST(EvaluateBnn, PoolInvariantAccuracy)
