@@ -131,7 +131,7 @@ main()
                   "Per-tier throughput of the batched-path hot loops "
                   "(GEMM, fused weight sampling, eps conversion)");
     std::printf("dispatch-selected tier: %s "
-                "(VIBNN_FORCE_SCALAR / VIBNN_KERNELS override)\n\n",
+                "(VIBNN_KERNELS override)\n\n",
                 k::activeKernelName());
 
     const fixed::FixedPointFormat act{8, 4}, weight{8, 6}, eps{8, 5};

@@ -33,8 +33,10 @@ McEngine::McEngine(const QuantizedProgram &program,
         weightCache_ = WeightCache::acquire(program, mc_.generatorId,
                                             mc_.seedBase);
     // The first replica's copy is the engine's program: later replicas
-    // copy it, so the engine holds no copy of its own.
+    // copy it, so the engine holds no copy of its own. The executor is
+    // heap-allocated, so the address survives replicas_ growing.
     addReplica(program);
+    program_ = &replicas_.front().executor->program();
 }
 
 McEngine::~McEngine() = default;
@@ -104,10 +106,8 @@ McEngine::withStream(Replica &replica, std::uint64_t seed, Body &&body)
 
 void
 McEngine::runUnits(const float *xs, std::size_t count, std::size_t stride,
-                   std::vector<std::int64_t> &raw)
+                   std::size_t samples, std::vector<std::int64_t> &raw)
 {
-    const std::size_t samples =
-        static_cast<std::size_t>(config_.mcSamples);
     const std::size_t out_dim = program().outputDim();
     const std::size_t units = count * samples;
     raw.resize(units * out_dim);
@@ -245,12 +245,10 @@ McEngine::reduceProbs(const std::int64_t *raw, std::size_t sample_stride,
 
 std::vector<std::size_t>
 McEngine::classifyBatchImpl(const float *xs, std::size_t count,
-                            std::size_t stride, float *probs,
-                            float *sample_probs)
+                            std::size_t stride, std::size_t samples,
+                            float *probs, float *sample_probs)
 {
     const std::size_t out_dim = program().outputDim();
-    const std::size_t samples =
-        static_cast<std::size_t>(config_.mcSamples);
     std::vector<std::size_t> predictions(count, 0);
     if (count == 0)
         return predictions;
@@ -263,11 +261,11 @@ McEngine::classifyBatchImpl(const float *xs, std::size_t count,
     std::size_t sample_step = 0;
     if (mc_.schedule == McSchedule::PerRound) {
         runRoundRange(xs, stride, /*indices=*/nullptr, count, 0,
-                      config_.mcSamples, raw);
+                      static_cast<int>(samples), raw);
         image_step = out_dim;
         sample_step = count * out_dim;
     } else {
-        runUnits(xs, count, stride, raw);
+        runUnits(xs, count, stride, samples, raw);
         image_step = samples * out_dim;
         sample_step = out_dim;
     }
@@ -290,7 +288,9 @@ std::vector<std::size_t>
 McEngine::classifyBatch(const float *xs, std::size_t count,
                         std::size_t stride, float *probs)
 {
-    return classifyBatchImpl(xs, count, stride, probs, nullptr);
+    return classifyBatchImpl(
+        xs, count, stride, static_cast<std::size_t>(config_.mcSamples),
+        probs, nullptr);
 }
 
 McBatchResult
@@ -306,7 +306,7 @@ McEngine::classifyBatchDetailed(const float *xs, std::size_t count,
     if (keep_sample_probs)
         result.sampleProbs.resize(count * samples * out_dim);
     result.predicted = classifyBatchImpl(
-        xs, count, stride, result.probs.data(),
+        xs, count, stride, samples, result.probs.data(),
         keep_sample_probs ? result.sampleProbs.data() : nullptr);
     return result;
 }
@@ -334,14 +334,12 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
         return result;
 
     if (!options.enabled) {
-        // threshold=off contract: byte-for-byte today's fixed-T path
+        // threshold=off contract: the fixed-T path at T = budget
         // (same float reduction, same code), with the adaptive
         // bookkeeping reporting "ran the whole budget".
-        VIBNN_ASSERT(budget == config_.mcSamples,
-                     "threshold=off adaptive MC must use the engine's "
-                     "configured round budget");
         result.predicted = classifyBatchImpl(
-            xs, count, stride, result.probs.data(),
+            xs, count, stride, static_cast<std::size_t>(budget),
+            result.probs.data(),
             keep_sample_probs ? result.sampleProbs.data() : nullptr);
         std::fill(result.achieved.begin(), result.achieved.end(),
                   budget);
@@ -472,7 +470,7 @@ McEngine::classifyDetailed(const float *x)
         runRoundRange(x, program().inputDim(), /*indices=*/nullptr, 1, 0,
                       config_.mcSamples, raw);
     else
-        runUnits(x, 1, program().inputDim(), raw);
+        runUnits(x, 1, program().inputDim(), samples, raw);
 
     McResult result;
     result.probs.assign(out_dim, 0.0f);

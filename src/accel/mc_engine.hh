@@ -2,11 +2,13 @@
  * @file
  * Parallel Monte-Carlo inference engine.
  *
- * VIBNN's ensemble estimate (equation (6)) averages the softmax of
- * config.mcSamples independent forward passes. The engine schedules
- * that estimate over ThreadPool workers, each owning a full executor
- * backend replica (any id registered with accel::makeExecutor), at one
- * of two granularities:
+ * VIBNN's ensemble estimate (equation (6)) averages the softmax of T
+ * independent forward passes. T is config.mcSamples for the classify
+ * calls and a per-call budget for classifyBatchAdaptive, so one engine
+ * serves every ensemble size: no stream seed depends on T. The engine
+ * schedules that estimate over ThreadPool workers, each owning a full
+ * executor backend replica (any id registered with
+ * accel::makeExecutor), at one of two granularities:
  *
  *  - PerUnit (fidelity): the work unit is one (image, MC sample) pass.
  *    Every unit draws fresh weights — the paper's per-pass sampling
@@ -145,7 +147,8 @@ struct McAdaptiveOptions
     stats::SequentialTestConfig test;
     /** false disables early exit entirely: every image runs the full
      *  budget through the EXACT fixed-T code path (bit-identical to
-     *  classifyBatchDetailed — the threshold=off contract). */
+     *  classifyBatchDetailed at mcSamples = budget — the threshold=off
+     *  contract). */
     bool enabled = true;
     /** Anytime deadline in seconds from call entry, checked at chunk
      *  boundaries; <= 0 means none. Wall-clock-dependent by nature, so
@@ -238,8 +241,9 @@ class McEngine
      * double-precision reductions in round order. Results are therefore
      * bit-identical across thread counts AND batch compositions
      * (ctest-pinned). With options.enabled == false the call routes
-     * through the exact fixed-T path and reproduces
-     * classifyBatchDetailed byte for byte.
+     * through the exact fixed-T path at T = budget and reproduces, byte
+     * for byte, classifyBatchDetailed on an engine built with
+     * mcSamples = budget — so one engine serves every ensemble size.
      *
      * Requires a backend with caps().batchedRounds (the sequential
      * per-image fallback stream would make per-image outputs depend on
@@ -266,10 +270,9 @@ class McEngine
     const WeightCache *weightCache() const { return weightCache_.get(); }
 
     const AcceleratorConfig &config() const { return config_; }
-    const QuantizedProgram &program() const
-    {
-        return replicas_.front().executor->program();
-    }
+    /** Replica 0's program. Safe to read while another thread grows
+     *  the replica set: the pointer is fixed at construction. */
+    const QuantizedProgram &program() const { return *program_; }
 
     /**
      * Seed of the eps stream for (image, sample) under `seed_base` —
@@ -310,14 +313,14 @@ class McEngine
 
     /**
      * The PerUnit parallel fan-out: run every (image, sample) unit of
-     * the batch into `raw`, resized to count x mcSamples x outputDim
+     * the batch into `raw`, resized to count x samples x outputDim
      * (image-major). Unit (i, s) runs on the stream seeded
      * streamSeed(seedBase, i, s); partitioning is replica-static and
      * results depend only on the unit, so the schedule is invisible in
      * the output.
      */
     void runUnits(const float *xs, std::size_t count, std::size_t stride,
-                  std::vector<std::int64_t> &raw);
+                  std::size_t samples, std::vector<std::int64_t> &raw);
 
     /**
      * The PerRound parallel fan-out: run global MC rounds
@@ -346,11 +349,13 @@ class McEngine
                      std::size_t samples, float *probs,
                      float *sample_probs = nullptr) const;
 
-    /** Shared body of classifyBatch / classifyBatchDetailed; either
-     *  output pointer may be null. */
+    /** The fixed-T path at T = `samples`: the shared body of
+     *  classifyBatch, classifyBatchDetailed and the disabled
+     *  classifyBatchAdaptive. Either output pointer may be null. */
     std::vector<std::size_t> classifyBatchImpl(const float *xs,
                                                std::size_t count,
                                                std::size_t stride,
+                                               std::size_t samples,
                                                float *probs,
                                                float *sample_probs);
 
@@ -360,6 +365,7 @@ class McEngine
     /** Private pool when an explicit thread count was requested. */
     std::unique_ptr<ThreadPool> ownPool_;
     std::vector<Replica> replicas_;
+    const QuantizedProgram *program_ = nullptr;
     std::shared_ptr<WeightCache> weightCache_;
 };
 

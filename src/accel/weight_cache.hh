@@ -16,8 +16,9 @@
  * Layout and sharing:
  *
  *  - One cache per distinct key, shared process-wide by every engine
- *    that acquires it (serving shards, and the per-T engines of one
- *    shard: a T=8 engine's rounds are the first 8 of a T=32 engine's).
+ *    that acquires it (serving shards) and by every ensemble size one
+ *    engine serves: a T=8 pass's rounds are the first 8 of a T=32
+ *    pass's.
  *    The registry holds caches weakly, so a cache's memory goes away
  *    with the last engine using it.
  *  - Rounds are stored at the narrowest signed width that holds the

@@ -113,7 +113,6 @@ SessionOptions::fromEnv(SessionOptions defaults)
     const std::string mode =
         envString("VIBNN_SERVE_MODE", execModeName(opts.mode));
     opts.mode = parseExecMode(mode);
-    opts.backendId = envString("VIBNN_SERVE_BACKEND", opts.backendId);
     opts.grngId = envString("VIBNN_SERVE_GRNG", opts.grngId);
     opts.mcSamples =
         static_cast<int>(serveEnvInt("VIBNN_SERVE_T", opts.mcSamples));
@@ -387,13 +386,6 @@ InferenceSession::Builder::options(const SessionOptions &opts)
 }
 
 InferenceSession::Builder &
-InferenceSession::Builder::backend(std::string id)
-{
-    state_->opts.backendId = std::move(id);
-    return *this;
-}
-
-InferenceSession::Builder &
 InferenceSession::Builder::grng(std::string id)
 {
     state_->opts.grngId = std::move(id);
@@ -508,20 +500,15 @@ InferenceSession::Builder::build()
               std::to_string(kMaxDeadlineMicros) + "], got " +
               std::to_string(opts.defaultDeadlineMicros));
 
-    // Resolve the inherit-from-source defaults and the mode-derived
-    // backend into the option block ONCE — the session constructor
-    // reads only resolved values, so validation and execution cannot
-    // diverge.
+    // Resolve the inherit-from-source defaults into the option block
+    // ONCE — the session constructor reads only resolved values, so
+    // validation and execution cannot diverge.
     if (opts.grngId.empty())
         opts.grngId = state_->sourceGrngId.empty()
                           ? "rlf"
                           : state_->sourceGrngId;
     if (!opts.seed)
         opts.seed = state_->sourceSeed ? *state_->sourceSeed : 1;
-    if (opts.backendId.empty())
-        opts.backendId = opts.mode == ExecMode::Throughput
-                             ? "batched"
-                             : "functional";
 
     const auto grng_ids = grng::generatorIds();
     if (std::find(grng_ids.begin(), grng_ids.end(), opts.grngId) ==
@@ -531,26 +518,14 @@ InferenceSession::Builder::build()
               ")");
     }
 
-    const auto exec_ids = accel::registeredExecutorIds();
-    if (std::find(exec_ids.begin(), exec_ids.end(), opts.backendId) ==
-        exec_ids.end()) {
-        fatal("InferenceSession::Builder: unknown executor backend '" +
-              opts.backendId + "' (registered: " +
-              joinStrings(exec_ids) + ")");
-    }
-
     if (opts.adaptive.enabled) {
         // Early exit retires images mid-ensemble; only the weight-reuse
         // round path keeps the survivors' streams independent of who
         // left (see McEngine::classifyBatchAdaptive).
-        if (opts.mode != ExecMode::Throughput ||
-            !accel::executorCaps(opts.backendId).batchedRounds) {
+        if (opts.mode != ExecMode::Throughput)
             fatal("InferenceSession::Builder: adaptive early-exit MC "
-                  "requires Throughput mode on a batched-rounds "
-                  "backend (mode " +
-                  std::string(execModeName(opts.mode)) +
-                  ", backend '" + opts.backendId + "')");
-        }
+                  "requires Throughput mode (got mode " +
+                  std::string(execModeName(opts.mode)) + ")");
         if (opts.adaptive.confidence <= 0.0 ||
             opts.adaptive.confidence >= 1.0)
             fatal("InferenceSession::Builder: adaptive confidence "
@@ -570,8 +545,8 @@ InferenceSession::Builder::build()
     accel::requireValidProgram(*s.program, s.config);
 
     opts.topK = std::min(opts.topK, s.program->outputDim());
-    return std::unique_ptr<InferenceSession>(new InferenceSession(
-        std::move(*s.program), s.config, opts));
+    return std::unique_ptr<InferenceSession>(
+        new InferenceSession(*s.program, s.config, opts));
 }
 
 // ---- session proper
@@ -582,22 +557,52 @@ InferenceSession::kernelName()
     return accel::kernels::activeKernelName();
 }
 
-InferenceSession::InferenceSession(accel::QuantizedProgram program,
+namespace
+{
+
+const char *
+backendFor(ExecMode mode)
+{
+    return mode == ExecMode::Throughput ? "batched" : "functional";
+}
+
+/** The engine policy of a session: the mode picks backend and
+ *  schedule. */
+accel::McEngineConfig
+engineConfig(const SessionOptions &opts)
+{
+    // build() resolves every inherit default before handing the options
+    // over.
+    VIBNN_ASSERT(!opts.grngId.empty() && opts.seed.has_value() &&
+                     opts.mcSamples >= 1,
+                 "InferenceSession constructed with unresolved options");
+    accel::McEngineConfig mc;
+    mc.threads = opts.threads;
+    mc.generatorId = opts.grngId;
+    mc.seedBase = *opts.seed;
+    mc.backendId = backendFor(opts.mode);
+    mc.schedule = opts.mode == ExecMode::Throughput
+                      ? accel::McSchedule::PerRound
+                      : accel::McSchedule::PerUnit;
+    return mc;
+}
+
+accel::AcceleratorConfig
+withSamples(accel::AcceleratorConfig config, int t)
+{
+    config.mcSamples = t;
+    return config;
+}
+
+} // namespace
+
+InferenceSession::InferenceSession(const accel::QuantizedProgram &program,
                                    const accel::AcceleratorConfig &config,
                                    const SessionOptions &opts)
-    : program_(std::move(program)), config_(config), opts_(opts),
-      backendId_(opts.backendId),
-      schedule_(opts.mode == ExecMode::Throughput
-                    ? accel::McSchedule::PerRound
-                    : accel::McSchedule::PerUnit),
-      coalesce_(schedule_ == accel::McSchedule::PerRound &&
-                accel::executorCaps(opts.backendId).batchedRounds)
+    : opts_(opts), backendId_(backendFor(opts.mode)),
+      engine_(program, withSamples(config, opts.mcSamples),
+              engineConfig(opts))
 {
-    // build() resolves every inherit/derive default before handing the
-    // options over.
-    VIBNN_ASSERT(!opts_.backendId.empty() && !opts_.grngId.empty() &&
-                     opts_.seed.has_value(),
-                 "InferenceSession constructed with unresolved options");
 }
 
 InferenceSession::~InferenceSession()
@@ -615,11 +620,7 @@ InferenceSession::~InferenceSession()
 int
 InferenceSession::effectiveSamples(const InferenceRequest &request) const
 {
-    if (request.mcSamples > 0)
-        return request.mcSamples;
-    if (opts_.mcSamples > 0)
-        return opts_.mcSamples;
-    return config_.mcSamples;
+    return request.mcSamples > 0 ? request.mcSamples : opts_.mcSamples;
 }
 
 std::int64_t
@@ -654,50 +655,13 @@ InferenceSession::checkRequest(const InferenceRequest &request) const
         request.count, request.mcSamples, request.deadlineMicros);
     if (!reason.empty())
         return reason;
-    if (request.dim != program_.inputDim())
+    if (request.dim != inputDim())
         return "request dim " + std::to_string(request.dim) +
             " does not match the program input dim " +
-            std::to_string(program_.inputDim());
+            std::to_string(inputDim());
     if (!request.data())
         return "request carries no feature data";
     return {};
-}
-
-accel::McEngine &
-InferenceSession::engineFor(int t)
-{
-    auto it = engines_.find(t);
-    if (it != engines_.end()) {
-        // Refresh t's LRU position.
-        engineLru_.erase(
-            std::find(engineLru_.begin(), engineLru_.end(), t));
-        engineLru_.push_back(t);
-        return *it->second;
-    }
-    // Per-request T is caller controlled; bound the cache by retiring
-    // the least-recently-used engine (results are pure functions of
-    // the seeds, so eviction is invisible beyond reconstruction cost).
-    if (engines_.size() >= kMaxCachedEngines) {
-        const int victim_t = engineLru_.front();
-        engineLru_.pop_front();
-        auto victim = engines_.find(victim_t);
-        retiredStats_ += victim->second->stats();
-        engines_.erase(victim);
-    }
-    accel::McEngineConfig mc;
-    mc.threads = opts_.threads;
-    mc.generatorId = opts_.grngId;
-    mc.seedBase = *opts_.seed;
-    mc.backendId = backendId_;
-    mc.schedule = schedule_;
-    accel::AcceleratorConfig config = config_;
-    config.mcSamples = t;
-    it = engines_
-             .emplace(t, std::make_unique<accel::McEngine>(
-                             program_, config, mc))
-             .first;
-    engineLru_.push_back(t);
-    return *it->second;
 }
 
 InferenceResult
@@ -707,7 +671,7 @@ InferenceSession::buildResult(
     std::size_t first_image, std::size_t count, int t,
     std::size_t batched_images) const
 {
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = outputDim();
     const float *sample_probs =
         detailed.sampleProbs.empty() ? nullptr
                                      : detailed.sampleProbs.data();
@@ -782,7 +746,7 @@ InferenceSession::run(const InferenceRequest &request)
     const auto start = Clock::now();
 
     std::lock_guard<std::mutex> lock(execMutex_);
-    const auto detailed = engineFor(t).classifyBatchAdaptive(
+    const auto detailed = engine_.classifyBatchAdaptive(
         request.data(), request.count, request.dim,
         adaptiveOptions(t, effectiveDeadline(request)),
         opts_.uncertainty);
@@ -883,10 +847,10 @@ InferenceSession::workerLoop()
             continue;
         }
 
-        // Pop the oldest request, then — when rounds are coalescable
-        // (weight-reuse schedule on a batchedRounds backend) — merge
-        // every pending request of the same ensemble size into the
-        // pass. Per-image outputs do not depend on the batch
+        // Pop the oldest request, then — in Throughput mode, whose
+        // weight-reuse rounds serve the whole batch from one draw —
+        // merge every pending request of the same ensemble size into
+        // the pass. Per-image outputs do not depend on the batch
         // composition there, so the merge is a pure throughput
         // decision: results are bit-identical either way.
         std::vector<Queued> batch;
@@ -911,7 +875,7 @@ InferenceSession::workerLoop()
             }
         };
         bool held = false;
-        if (coalesce_) {
+        if (opts_.mode == ExecMode::Throughput) {
             mergePending();
             // Deadline-aware hold: when every batch member carries a
             // latency budget with slack beyond the expected pass
@@ -977,7 +941,7 @@ void
 InferenceSession::executePass(std::vector<Queued> &items, int t,
                               bool held)
 {
-    const std::size_t dim = program_.inputDim();
+    const std::size_t dim = inputDim();
     std::size_t total_images = 0;
     for (const auto &item : items)
         total_images += item.request.count;
@@ -1025,7 +989,7 @@ InferenceSession::executePass(std::vector<Queued> &items, int t,
         tightest =
             tightest == 0 ? remaining : std::min(tightest, remaining);
     }
-    const auto detailed = engineFor(t).classifyBatchAdaptive(
+    const auto detailed = engine_.classifyBatchAdaptive(
         xs, total_images, dim, adaptiveOptions(t, tightest),
         opts_.uncertainty);
     // Per-image outputs are independent of the batch composition, so
@@ -1066,10 +1030,7 @@ accel::CycleStats
 InferenceSession::stats() const
 {
     std::lock_guard<std::mutex> lock(execMutex_);
-    accel::CycleStats merged = retiredStats_;
-    for (const auto &[t, engine] : engines_)
-        merged += engine->stats();
-    return merged;
+    return engine_.stats();
 }
 
 } // namespace vibnn::serve

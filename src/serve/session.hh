@@ -6,12 +6,18 @@
  * The paper's deployment story (and the follow-on FPGA serving work it
  * inspired, e.g. Fan et al., arXiv:2105.09163) is request → Monte-Carlo
  * ensemble → calibrated prediction. An InferenceSession is that story
- * as an API: it owns a compiled QuantizedProgram, an executor-backend
- * Monte-Carlo engine per ensemble size, and a submission queue, and
- * turns InferenceRequests (one or many images) into InferenceResults
+ * as an API: it owns one Monte-Carlo engine (built once, holding the
+ * compiled QuantizedProgram) and a submission queue, and turns
+ * InferenceRequests (one or many images) into InferenceResults
  * carrying the ensemble-mean probabilities plus the full uncertainty
  * decomposition (predictive entropy, mutual information / BALD,
  * max-prob confidence, top-k) per image.
+ *
+ * The exec mode alone picks the engine's backend and schedule:
+ * Fidelity runs PerUnit on "functional", Throughput runs PerRound on
+ * "batched". The ensemble size T is a per-pass argument of that one
+ * engine, just as VIBNN's datapath makes T passes without being
+ * rebuilt per T; a request may override the session's T.
  *
  * Two call styles:
  *
@@ -99,9 +105,6 @@ const char *execModeName(ExecMode mode);
 /** Session-wide serving policy. */
 struct SessionOptions
 {
-    /** Executor backend registry id; empty derives it from `mode`
-     *  ("functional" for Fidelity, "batched" for Throughput). */
-    std::string backendId;
     /** GRNG design id (see grng::makeGenerator); empty inherits the
      *  model source's id (a Builder::system() session) or "rlf".
      *  "philox" (VIBNN_SERVE_GRNG=philox) selects the counter-based
@@ -174,7 +177,6 @@ struct SessionOptions
      * Overlay the VIBNN_SERVE_* environment knobs onto `defaults` —
      * the string-parsing front door benches and examples use:
      *   VIBNN_SERVE_MODE        fidelity | throughput
-     *   VIBNN_SERVE_BACKEND     executor id (empty = derive from mode)
      *   VIBNN_SERVE_GRNG        generator id
      *   VIBNN_SERVE_T           ensemble size
      *   VIBNN_SERVE_THREADS     engine parallelism
@@ -347,7 +349,6 @@ class InferenceSession
 
         /** Replace the whole option block. */
         Builder &options(const SessionOptions &opts);
-        Builder &backend(std::string id);
         Builder &grng(std::string id);
         Builder &seed(std::uint64_t seed);
         Builder &mcSamples(int t);
@@ -362,9 +363,9 @@ class InferenceSession
         Builder &maxBatchImages(std::size_t images);
 
         /** Validate and construct. fatal() on: no model source, an
-         *  unloadable program file, unknown backend / GRNG ids (the
-         *  registered ids are listed), T < 1, or a program that fails
-         *  geometry validation against the accelerator config. */
+         *  unloadable program file, an unknown GRNG id (the registered
+         *  ids are listed), T < 1, or a program that fails geometry
+         *  validation against the accelerator config. */
         std::unique_ptr<InferenceSession> build();
 
       private:
@@ -434,18 +435,24 @@ class InferenceSession
     };
     Counters counters() const;
 
-    /** Aggregate executor statistics merged over all engines. */
+    /** The engine's executor statistics, merged over its replicas. */
     accel::CycleStats stats() const;
 
     const SessionOptions &options() const { return opts_; }
-    const accel::QuantizedProgram &program() const { return program_; }
+    const accel::QuantizedProgram &program() const
+    {
+        return engine_.program();
+    }
+    /** The accelerator config, mcSamples resolved to the session's
+     *  default T. */
     const accel::AcceleratorConfig &acceleratorConfig() const
     {
-        return config_;
+        return engine_.config();
     }
-    std::size_t inputDim() const { return program_.inputDim(); }
-    std::size_t outputDim() const { return program_.outputDim(); }
-    /** The executor backend id the session actually runs on. */
+    std::size_t inputDim() const { return program().inputDim(); }
+    std::size_t outputDim() const { return program().outputDim(); }
+    /** The executor backend id the session runs on ("functional" in
+     *  Fidelity mode, "batched" in Throughput mode). */
     const std::string &backendId() const { return backendId_; }
 
     /** The SIMD kernel tier the backends dispatch to ("scalar",
@@ -457,7 +464,7 @@ class InferenceSession
   private:
     struct Queued;
 
-    InferenceSession(accel::QuantizedProgram program,
+    InferenceSession(const accel::QuantizedProgram &program,
                      const accel::AcceleratorConfig &config,
                      const SessionOptions &opts);
 
@@ -472,13 +479,6 @@ class InferenceSession
      *  the first observed pass at that T). */
     std::int64_t passEstimateMicros(int t) const;
     void observePassMicros(int t, double micros);
-
-    /** The engine serving ensemble size `t` (created on first use,
-     *  cached up to kMaxCachedEngines — per-request T is caller
-     *  controlled, so the cache must stay bounded; an evicted engine's
-     *  CycleStats are folded into retiredStats_ first). Callers hold
-     *  execMutex_. */
-    accel::McEngine &engineFor(int t);
 
     /** Run one engine pass over `items` (same effective T), build and
      *  fulfill/collect the per-request results. `held` marks a pass
@@ -506,25 +506,13 @@ class InferenceSession
     void workerLoop();
     void ensureWorker();
 
-    accel::QuantizedProgram program_;
-    accel::AcceleratorConfig config_;
     SessionOptions opts_;
     std::string backendId_;
-    accel::McSchedule schedule_;
-    /** Coalescing is sound only when one weight draw genuinely serves
-     *  the whole round (the backend advertises batchedRounds);
-     *  otherwise the fallback streams images sequentially and merging
-     *  would make outputs depend on batch composition. */
-    bool coalesce_;
+    /** The one engine; every ensemble size is a per-pass budget. */
+    accel::McEngine engine_;
 
-    /** Serializes engine construction/use and counter updates. */
+    /** Serializes engine use and counter updates. */
     mutable std::mutex execMutex_;
-    static constexpr std::size_t kMaxCachedEngines = 8;
-    std::map<int, std::unique_ptr<accel::McEngine>> engines_;
-    /** Cached ensemble sizes, least-recently-used first (the eviction
-     *  order of engines_). */
-    std::deque<int> engineLru_;
-    accel::CycleStats retiredStats_;
     Counters counters_;
 
     std::atomic<std::uint64_t> nextRequestId_{1};

@@ -89,36 +89,50 @@ batchedEngineConfig(std::size_t threads, std::uint64_t seed = 101)
 TEST(AdaptiveMc, ThresholdOffReproducesFixedTBitExactly)
 {
     // The threshold=off contract: options.enabled = false must route
-    // through the exact fixed-T code path — probs, sampleProbs and
-    // predictions byte for byte.
+    // through the exact fixed-T code path at T = budget — probs,
+    // sampleProbs and predictions byte for byte against an engine
+    // built with mcSamples = budget. One engine serves budgets below,
+    // at and above its configured T, on both schedules (Fidelity
+    // sessions reach the engine through this same call on PerUnit).
     const auto config = smallConfig(8);
     const auto program = mlpProgram(config, 7);
     const auto xs = randomBatch(6, program.inputDim(), 23);
 
-    McEngine engine(program, config, batchedEngineConfig(2));
-    const auto fixed =
-        engine.classifyBatchDetailed(xs.data(), 6, program.inputDim());
+    McEngineConfig per_unit = batchedEngineConfig(2);
+    per_unit.backendId = "functional";
+    per_unit.schedule = McSchedule::PerUnit;
+    for (const auto &mc : {batchedEngineConfig(2), per_unit}) {
+        McEngine engine2(program, config, mc);
+        // 0 is the engine's own config.mcSamples.
+        for (const int budget : {0, 5, 13}) {
+            const int t = budget > 0 ? budget : config.mcSamples;
+            SCOPED_TRACE(mc.backendId + " budget " +
+                         std::to_string(budget));
+            McEngine engine(program, smallConfig(t), mc);
+            const auto fixed = engine.classifyBatchDetailed(
+                xs.data(), 6, program.inputDim());
 
-    McAdaptiveOptions opts;
-    opts.enabled = false;
-    McEngine engine2(program, config, batchedEngineConfig(2));
-    const auto off = engine2.classifyBatchAdaptive(
-        xs.data(), 6, program.inputDim(), opts);
+            McAdaptiveOptions opts;
+            opts.enabled = false;
+            opts.budget = budget;
+            const auto off = engine2.classifyBatchAdaptive(
+                xs.data(), 6, program.inputDim(), opts);
 
-    EXPECT_EQ(off.predicted, fixed.predicted);
-    ASSERT_EQ(off.probs.size(), fixed.probs.size());
-    for (std::size_t i = 0; i < fixed.probs.size(); ++i)
-        EXPECT_EQ(off.probs[i], fixed.probs[i]) << "prob " << i;
-    ASSERT_EQ(off.sampleProbs.size(), fixed.sampleProbs.size());
-    for (std::size_t i = 0; i < fixed.sampleProbs.size(); ++i)
-        EXPECT_EQ(off.sampleProbs[i], fixed.sampleProbs[i])
-            << "sample prob " << i;
-    for (const int achieved : off.achieved)
-        EXPECT_EQ(achieved, config.mcSamples);
-    for (const auto reason : off.exitReason)
-        EXPECT_EQ(reason, McExitReason::Budget);
-    EXPECT_DOUBLE_EQ(off.meanRounds,
-                     static_cast<double>(config.mcSamples));
+            EXPECT_EQ(off.predicted, fixed.predicted);
+            ASSERT_EQ(off.probs.size(), fixed.probs.size());
+            for (std::size_t i = 0; i < fixed.probs.size(); ++i)
+                EXPECT_EQ(off.probs[i], fixed.probs[i]) << "prob " << i;
+            ASSERT_EQ(off.sampleProbs.size(), fixed.sampleProbs.size());
+            for (std::size_t i = 0; i < fixed.sampleProbs.size(); ++i)
+                EXPECT_EQ(off.sampleProbs[i], fixed.sampleProbs[i])
+                    << "sample prob " << i;
+            for (const int achieved : off.achieved)
+                EXPECT_EQ(achieved, t);
+            for (const auto reason : off.exitReason)
+                EXPECT_EQ(reason, McExitReason::Budget);
+            EXPECT_DOUBLE_EQ(off.meanRounds, static_cast<double>(t));
+        }
+    }
 }
 
 TEST(AdaptiveMc, BitIdenticalAcrossThreadCounts)

@@ -346,43 +346,6 @@ TEST(InferenceSession, CoalescedResultsBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(probs_by_threads[0], probs_by_threads[2]);
 }
 
-TEST(InferenceSession, NoCoalescingOnBackendsWithoutBatchedRounds)
-{
-    // Throughput mode on an explicit backend WITHOUT batchedRounds
-    // caps: the round fallback streams a pass's images off one
-    // sequential generator, so merging requests would change their
-    // epsilons. The dispatcher must therefore serve such sessions one
-    // request per pass — submit() still equals run() exactly.
-    const auto config = smallConfig(3);
-    auto session = smallBuilder(config)
-                       .mode(ExecMode::Throughput)
-                       .backend("functional")
-                       .build();
-    const std::size_t dim = session->inputDim();
-    const std::size_t requests = 5;
-    const auto xs = randomBatch(requests, dim, 71);
-
-    std::vector<ResultHandle> handles;
-    for (std::size_t i = 0; i < requests; ++i) {
-        handles.push_back(session->submit(
-            InferenceRequest::borrow(xs.data() + i * dim, 1, dim)));
-    }
-    session->drain();
-    const auto counters = session->counters();
-    EXPECT_EQ(counters.passes, requests);
-    EXPECT_EQ(counters.coalescedPasses, 0u);
-    EXPECT_EQ(counters.maxCoalescedRequests, 1u);
-
-    for (std::size_t i = 0; i < requests; ++i) {
-        const auto async_result = handles[i].get();
-        const auto sync_result = session->run(
-            InferenceRequest::borrow(xs.data() + i * dim, 1, dim));
-        EXPECT_EQ(async_result.predictions.front().probs,
-                  sync_result.predictions.front().probs)
-            << "request " << i;
-    }
-}
-
 TEST(InferenceSession, LeanModeSkipsSampleDistributionsOnly)
 {
     // uncertainty(false) must not change predictions, mean probs or
@@ -408,23 +371,85 @@ TEST(InferenceSession, LeanModeSkipsSampleDistributionsOnly)
 
 TEST(InferenceSession, PerRequestEnsembleSizeOverride)
 {
+    // One session serves every ensemble size from one engine. An
+    // interleaved T sequence with repeats and more distinct sizes than
+    // a bounded per-T engine cache would hold must match, bit for bit,
+    // a whole session built at each T — the stream seeds depend only on
+    // (seed, unit) or (seed, round), never on T — through run() and
+    // submit(), in both modes.
     const auto config = smallConfig(8);
-    auto session = smallBuilder(config).build();
-    const auto xs = randomBatch(1, session->inputDim(), 37);
+    const std::vector<int> ts = {3, 8, 1, 16, 3, 5, 32, 2, 7, 4, 8};
+    const std::size_t dim = 24;
+    const std::size_t rows = 3;
+    const auto xs = randomBatch(ts.size() * rows, dim, 37);
+    const auto request = [&](std::size_t i) {
+        // Vary the image count so coalesced passes mix sizes.
+        InferenceRequest r = InferenceRequest::borrow(
+            xs.data() + i * rows * dim, 1 + i % rows, dim);
+        r.mcSamples = ts[i];
+        return r;
+    };
 
-    InferenceRequest small = InferenceRequest::borrow(
-        xs.data(), 1, session->inputDim());
-    small.mcSamples = 3;
-    const auto result = session->run(small);
-    EXPECT_EQ(result.mcSamples, 3);
+    for (const ExecMode mode :
+         {ExecMode::Fidelity, ExecMode::Throughput}) {
+        auto session = smallBuilder(config).mode(mode).build();
+        std::vector<InferenceResult> want;
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+            auto reference =
+                smallBuilder(config).mode(mode).mcSamples(ts[i]).build();
+            auto r = request(i);
+            r.mcSamples = 0;
+            want.push_back(reference->run(r));
+        }
 
-    // A request at T=3 must match a whole session built at T=3 (the
-    // per-unit stream seeds depend only on (seed, unit), not on T).
-    auto session_t3 = smallBuilder(config).mcSamples(3).build();
-    const auto reference = session_t3->run(InferenceRequest::borrow(
-        xs.data(), 1, session->inputDim()));
-    EXPECT_EQ(result.predictions.front().probs,
-              reference.predictions.front().probs);
+        const auto expect_match = [&](const InferenceResult &got,
+                                      std::size_t i, const char *how) {
+            const auto &ref = want[i];
+            EXPECT_EQ(got.mcSamples, ts[i]) << how << " request " << i;
+            ASSERT_EQ(got.predictions.size(), ref.predictions.size());
+            for (std::size_t k = 0; k < ref.predictions.size(); ++k) {
+                const auto &g = got.predictions[k];
+                const auto &w = ref.predictions[k];
+                EXPECT_EQ(g.predicted, w.predicted);
+                EXPECT_EQ(g.probs, w.probs)
+                    << execModeName(mode) << " " << how << " request "
+                    << i << " (T=" << ts[i] << ") image " << k;
+                EXPECT_EQ(g.entropy, w.entropy);
+                EXPECT_EQ(g.mutualInformation, w.mutualInformation);
+                EXPECT_EQ(g.achievedSamples, ts[i]);
+            }
+        };
+        // A pass runs T rounds however many requests share it; each
+        // member holds count / batchedImages of its pass.
+        double rounds_served = 0.0;
+        const auto count_rounds = [&](const InferenceResult &got) {
+            rounds_served += static_cast<double>(got.mcSamples) *
+                static_cast<double>(got.predictions.size()) /
+                static_cast<double>(got.batchedImages);
+        };
+
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+            const auto got = session->run(request(i));
+            expect_match(got, i, "run");
+            count_rounds(got);
+        }
+
+        std::vector<ResultHandle> handles;
+        for (std::size_t i = 0; i < ts.size(); ++i)
+            handles.push_back(session->submit(request(i)));
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+            const auto got = handles[i].get();
+            expect_match(got, i, "submit");
+            count_rounds(got);
+        }
+
+        if (mode == ExecMode::Throughput) {
+            const auto stats = session->stats();
+            EXPECT_EQ(stats.roundsRestored + stats.roundsDrawn,
+                      static_cast<std::uint64_t>(
+                          std::llround(rounds_served)));
+        }
+    }
 }
 
 // ------------------------------------------------ construction plumbing
@@ -504,11 +529,6 @@ TEST(SessionValidationDeathTest, BuilderRejectsBadInput)
     const auto config = smallConfig();
     EXPECT_DEATH((void)InferenceSession::Builder().build(),
                  "no model source");
-    EXPECT_DEATH((void)smallBuilder(config)
-                     .backend("no-such-backend")
-                     .build(),
-                 "unknown executor backend.*registered: simulator, "
-                 "functional, batched");
     EXPECT_DEATH((void)smallBuilder(config).grng("no-such-grng").build(),
                  "unknown GRNG id.*registered:.*rlf");
     EXPECT_DEATH((void)smallBuilder(config).mcSamples(-2).build(),
